@@ -25,13 +25,26 @@ RIGHT_HALF_PLANE = "right-half-plane"
 UNKNOWN = "unknown"
 
 
+def _abs_squared_ints(a: ExactScalar) -> tuple[int, int]:
+    """|a|^2 as an unreduced integer numerator and denominator."""
+    re, im = a.re, a.im
+    return ((re.numerator * im.denominator) ** 2 + (im.numerator * re.denominator) ** 2,
+            (re.denominator * im.denominator) ** 2)
+
+
 def log_abs(a) -> float | None:
-    """ln|a| as float, None for zero.  Exact scalars avoid float overflow."""
+    """ln|a| as float, None for zero.  Exact scalars avoid float overflow.
+
+    An exact scalar is taken apart into integers: ln|p| - ln q for a real
+    p/q, and for a Gaussian rational half the log of |a|^2 from its
+    unreduced integer numerator and denominator.
+    """
     if isinstance(a, ExactScalar):
-        sq = a.abs_squared()
-        if not sq:
-            return None
-        return 0.5 * (math.log(sq.numerator) - math.log(sq.denominator))
+        if a.im:
+            num, _ = _abs_squared_ints(a)
+            return 0.5 * math.log(num) - math.log(a.re.denominator) \
+                - math.log(a.im.denominator)
+        a = a.re
     if isinstance(a, Fraction):
         if not a:
             return None
@@ -64,10 +77,10 @@ def _window_bounds(length: int, window_fraction: float) -> tuple[int, int]:
     return lo, length - 1
 
 
-def _s_trace(coeffs: Sequence) -> list[tuple[int, float]]:
+def _s_trace(logs: Sequence[float | None]) -> list[tuple[int, float]]:
     trace = []
-    for n in range(2, len(coeffs)):
-        la = log_abs(coeffs[n])
+    for n in range(2, len(logs)):
+        la = logs[n]
         if la is None or la >= 0:  # zero or |a_n| >= 1: s_n undefined there
             continue
         trace.append((n, n * math.log(n) / (-la)))
@@ -80,13 +93,14 @@ def chi_estimate(coeffs: Sequence, window_fraction: float = 0.5) -> ChiEstimate:
     Zero coefficients are skipped, not treated as -inf.  The all-zero
     sequence has chi 0 by convention.  Requires at least 16 coefficients.
     """
-    if all(log_abs(c) is None for c in coeffs):
+    logs = [log_abs(c) for c in coeffs]
+    if all(la is None for la in logs):
         lo, hi = _window_bounds(max(len(coeffs), 1), window_fraction)
         return ChiEstimate(0.0, (lo, hi), (), False, True)
     if len(coeffs) < 16:
         raise ValueError("need at least 16 coefficients for a window estimate")
     lo, hi = _window_bounds(len(coeffs), window_fraction)
-    trace = _s_trace(coeffs)
+    trace = _s_trace(logs)
     in_window = [s for n, s in trace if lo <= n <= hi]
     if not in_window:
         return ChiEstimate(math.inf, (lo, hi), tuple(trace), True)
@@ -153,11 +167,10 @@ def _exact_peak_of_an_nfact(coeffs: Sequence) -> tuple[float | None, int | None]
     for n, a in enumerate(coeffs):
         if n:
             fact *= n
-        sq = a.abs_squared()
-        if not sq:
+        if a.is_zero():
             continue
-        num = sq.numerator * fact * fact
-        den = sq.denominator
+        num, den = _abs_squared_ints(a)
+        num *= fact * fact
         if best_num is None or num * best_den > best_num * den:
             best_num, best_den, best_idx = num, den, n
     if best_num is None:

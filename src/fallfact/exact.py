@@ -4,14 +4,20 @@ The exact regime of the toolkit works over Q(i): every scalar is a pair of
 reduced rationals (re, im). fractions.Fraction already guarantees reduced
 form and a positive denominator, so this module only adds the complex
 structure, parsing, and formatting.
+
+The integer hot paths (basis conversion, the recurrence solver, the Newton
+triangle) work on integer numerators over one common denominator instead:
+integer_numerators takes scalars apart that way and from_numerators puts
+each result back together, reducing it once.
 """
 
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 RationalLike = Union["ExactScalar", Fraction, int, str]
 
@@ -158,6 +164,21 @@ def as_exact(x: RationalLike) -> ExactScalar:
     if isinstance(x, str):
         return ExactScalar.parse(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
+
+
+def integer_numerators(values: Iterable[ExactScalar]) -> tuple[list[tuple[int, int]], int]:
+    """Integer numerators (re, im) of values over their least common denominator."""
+    values = list(values)
+    den = math.lcm(*(d for v in values for d in (v.re.denominator, v.im.denominator)))
+    return [(v.re.numerator * (den // v.re.denominator),
+             v.im.numerator * (den // v.im.denominator)) for v in values], den
+
+
+def from_numerators(re: int, im: int, den: int) -> ExactScalar:
+    """(re + im i) / den, reduced; den must be positive."""
+    # a zero part skips the reduction, which would divide den by itself
+    return ExactScalar(Fraction(re, den) if re else ZERO.re,
+                       Fraction(im, den) if im else ZERO.im)
 
 
 def to_mpc(x, ctx):

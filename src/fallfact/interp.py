@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import NonConvergenceError
-from .exact import ExactScalar, as_exact
+from .exact import ExactScalar, as_exact, from_numerators, integer_numerators
 from .series import (BinomialSeries, DEFAULT_EPS, DEFAULT_N_MAX,
                      DEFAULT_PRECISION_BITS, EXACT, evaluate, evaluate_exact,
                      make_context)
@@ -53,17 +53,35 @@ class SampleTable:
         return tuple(row[0] for row in self.difference_rows)
 
 
-def forward_differences(values: Sequence) -> SampleTable:
+def _lift_samples(values: Sequence) -> tuple[list[tuple[int, int]], int, bool]:
+    """Samples as integer numerators (re, im) over one common denominator,
+    and whether every sample was exact to begin with."""
     if not values:
         raise ValueError("need at least one sample")
     lifted = [_lift(v) for v in values]
-    exact = all(flag for _, flag in lifted)
-    row = tuple(v for v, _ in lifted)
-    rows = [row]
+    nums, den = integer_numerators(v for v, _ in lifted)
+    return nums, den, all(flag for _, flag in lifted)
+
+
+def _difference_rows(row: list[int]) -> Iterator[list[int]]:
+    """The forward-difference triangle of row, one row at a time, row first."""
+    yield row
     while len(row) > 1:
-        row = tuple(row[i + 1] - row[i] for i in range(len(row) - 1))
-        rows.append(row)
-    return SampleTable(tuple(values), tuple(rows), exact)
+        row = [b - a for a, b in zip(row, row[1:])]
+        yield row
+
+
+def _triangle(nums: list[tuple[int, int]]) -> Iterator[tuple[list[int], list[int]]]:
+    """Difference rows of the real and imaginary numerators side by side."""
+    return zip(_difference_rows([re for re, _ in nums]),
+               _difference_rows([im for _, im in nums]))
+
+
+def forward_differences(values: Sequence) -> SampleTable:
+    nums, den, exact = _lift_samples(values)
+    rows = tuple(tuple(from_numerators(r, i, den) for r, i in zip(re, im))
+                 for re, im in _triangle(nums))
+    return SampleTable(tuple(values), rows, exact)
 
 
 def newton_series(samples, origin: str = "interpolation",
@@ -73,12 +91,23 @@ def newton_series(samples, origin: str = "interpolation",
     Exact samples give an exact-regime series; float or complex samples give
     an approx-regime series (the triangle is still computed exactly, so the
     only rounding is the final cast).  Either way the series carries
-    precision_bits, the precision its evaluations cast to by default.
+    precision_bits, the precision its evaluations cast to by default.  The
+    triangle runs on integer numerators over the samples' common
+    denominator, keeping one row at a time.
     """
-    table = samples if isinstance(samples, SampleTable) else forward_differences(samples)
-    coeffs = [d / math.factorial(n)
-              for n, d in enumerate(table.leading_differences())]
-    if table.exact:
+    if isinstance(samples, SampleTable):
+        leading, den = integer_numerators(samples.leading_differences())
+        exact = samples.exact
+    else:
+        nums, den, exact = _lift_samples(samples)
+        leading = [(re[0], im[0]) for re, im in _triangle(nums)]
+    coeffs = []
+    fact = 1
+    for n, (re, im) in enumerate(leading):
+        if n:
+            fact *= n
+        coeffs.append(from_numerators(re, im, den * fact))
+    if exact:
         return BinomialSeries(tuple(coeffs), EXACT, origin, precision_bits)
     return BinomialSeries(tuple(complex(c) for c in coeffs), "approx", origin,
                           precision_bits)

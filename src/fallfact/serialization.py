@@ -2,8 +2,9 @@
 
 Exact data travels as rational strings ("(-3/2)+(1/2)i" style comes back
 through the same parser that accepts CLI input), little-endian for
-polynomial coefficient arrays.  Approx series store [re, im] float pairs
-plus their working precision.  CSV writers cover evaluation grids, modulus
+polynomial coefficient arrays.  Approx series store [re, im] float pairs.
+Series of both regimes store their working precision; files written
+without it read as 128 bits.  CSV writers cover evaluation grids, modulus
 profiles, and verification residual tables.
 """
 
@@ -17,7 +18,8 @@ from typing import IO, Iterable, Sequence
 from .errors import InputFormatError
 from .exact import ExactScalar, as_exact
 from .polynomial import Polynomial
-from .series import APPROX, BinomialSeries, EXACT, EvaluationResult
+from .series import (APPROX, BinomialSeries, DEFAULT_PRECISION_BITS, EXACT,
+                     EvaluationResult)
 from .solver import (CoefficientRecurrence, LinearDifferenceEquation,
                      NewtonPolygon, candidate_orders)
 from .analysis import ModulusProfile
@@ -43,7 +45,7 @@ def polynomial_from_json(data: Sequence[str]) -> Polynomial:
 def series_to_json(series: BinomialSeries) -> dict:
     if series.regime == EXACT:
         return {"format_version": FORMAT_VERSION, "regime": EXACT,
-                "origin": series.origin,
+                "origin": series.origin, "precision_bits": series.precision_bits,
                 "coeffs": [_scalar_str(c) for c in series.coeffs]}
     pairs = []
     for c in series.coeffs:
@@ -59,10 +61,10 @@ def series_from_json(data: dict) -> BinomialSeries:
         regime = data["regime"]
         coeffs = data["coeffs"]
         origin = data.get("origin", "")
+        bits = int(data.get("precision_bits", DEFAULT_PRECISION_BITS))
         if regime == EXACT:
-            return BinomialSeries(tuple(as_exact(c) for c in coeffs), EXACT, origin)
+            return BinomialSeries(tuple(as_exact(c) for c in coeffs), EXACT, origin, bits)
         if regime == APPROX:
-            bits = int(data.get("precision_bits", 128))
             vals = tuple(complex(re, im) for re, im in coeffs)
             return BinomialSeries(vals, APPROX, origin, bits)
     except InputFormatError:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from mpmath.ctx_mp import MPContext
 
-from .basis import StirlingTable, default_table
+from .basis import StirlingTable, apply_table, default_table
 from .errors import EvaluationOverflowError, RegimeMismatchError
 from .exact import ExactScalar, ONE, ZERO, as_exact, to_mpc
 from .polynomial import Polynomial
@@ -239,13 +239,24 @@ def evaluate_exact(series: BinomialSeries, z) -> ExactScalar:
     if series.regime != EXACT:
         raise RegimeMismatchError("evaluate_exact requires the exact regime")
     zz = as_exact(z)
+    if zz.is_integer() and zz.re >= 0:
+        # z^(n_) is an integer here, and vanishes for every n > z
+        m = zz.re.numerator
+        re = im = Fraction(0)
+        ff = 1
+        for n, a in enumerate(series.coeffs[:m + 1]):
+            if n:
+                ff *= m - n + 1
+            if a.re:
+                re += a.re * ff
+            if a.im:
+                im += a.im * ff
+        return ExactScalar(re, im)
     total = ZERO
-    ff = ExactScalar(Fraction(1))
+    ff = ONE
     for n, a in enumerate(series.coeffs):
         if n:
             ff = ff * (zz - (n - 1))
-            if ff.is_zero():  # z hit a nonnegative integer; all later terms vanish
-                break
         if not a.is_zero():
             total = total + a * ff
     return total
@@ -370,10 +381,7 @@ def _geometric_tail(mags: Sequence, window: int) -> float:
 def _exact_term_magnitude(series: BinomialSeries, m: int, stop: int) -> float:
     if stop < 0:
         return 0.0
-    ff = ExactScalar(Fraction(1))
-    for n in range(1, stop + 1):
-        ff = ff * (m - (n - 1))
-    return _exact_magnitude(series.coeffs[stop] * ff)
+    return _exact_magnitude(series.coeffs[stop] * math.perm(m, stop))
 
 
 def _exact_magnitude(x: ExactScalar) -> float:
@@ -530,25 +538,18 @@ def taylor_from_binomial(series: BinomialSeries, m_max: int,
     if k_cut > order:
         raise ValueError(f"k_cut {k_cut} exceeds truncation order {order}")
     table = table or default_table()
-    exact = series.regime == EXACT
-    ctx = None if exact else make_context(series.precision_bits)
-
-    out = []
-    for n in range(m_max + 1):
-        if exact:
-            acc = ZERO
-        else:
+    if series.regime == EXACT:
+        out = apply_table(series.coeffs[:k_cut + 1], table.first_kind_ints, m_max + 1)
+    else:
+        ctx = make_context(series.precision_bits)
+        out = []
+        for n in range(m_max + 1):
             acc = ctx.mpc(0)
-        for k in range(n, k_cut + 1):
-            eta = table.first_kind(k, n)
-            if eta.is_zero():
-                continue
-            a = series.coeffs[k]
-            if exact:
-                acc = acc + a * eta
-            else:
-                acc = acc + to_mpc(a, ctx) * to_mpc(eta, ctx)
-        out.append(acc)
+            for k in range(n, k_cut + 1):
+                eta = table.first_kind_ints(k)[n]
+                if eta:
+                    acc = acc + to_mpc(series.coeffs[k], ctx) * to_mpc(eta, ctx)
+            out.append(acc)
 
     flagged = False
     chi_val: float | None = None
@@ -575,17 +576,18 @@ def binomial_from_taylor(taylor_coeffs: Sequence, n_max: int | None = None,
         n_max = k_cut
     table = table or default_table()
     exact = all(isinstance(b, (ExactScalar, int, Fraction, str)) for b in taylor_coeffs)
-    ctx = None if exact else make_context(precision_bits)
-
-    out = []
-    for n in range(n_max + 1):
-        acc = ZERO if exact else ctx.mpc(0)
-        for k in range(n, k_cut + 1):
-            eta = table.second_kind(k, n)
-            if eta.is_zero():
-                continue
-            b = as_exact(taylor_coeffs[k]) if exact else to_mpc(taylor_coeffs[k], ctx)
-            acc = acc + (b * eta if exact else b * to_mpc(eta, ctx))
-        out.append(acc)
+    if exact:
+        out = apply_table([as_exact(b) for b in taylor_coeffs[:k_cut + 1]],
+                          table.second_kind_ints, n_max + 1)
+    else:
+        ctx = make_context(precision_bits)
+        out = []
+        for n in range(n_max + 1):
+            acc = ctx.mpc(0)
+            for k in range(n, k_cut + 1):
+                eta = table.second_kind_ints(k)[n]
+                if eta:
+                    acc = acc + to_mpc(taylor_coeffs[k], ctx) * to_mpc(eta, ctx)
+            out.append(acc)
     regime = EXACT if exact else APPROX
     return BinomialSeries(tuple(out), regime, origin, precision_bits)

@@ -24,7 +24,8 @@ from .analysis import (Classification, ENTIRE, GrowthEstimate, UNKNOWN,
                        chi_estimate, classify)
 from .errors import (DeterminacyError, InputFormatError, PoleError,
                      SingularRecurrenceError)
-from .exact import ExactScalar, ONE, ZERO, as_exact, to_mpc
+from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
+                    integer_numerators, to_mpc)
 from .polynomial import Polynomial, poly
 from .series import (BinomialSeries, DEFAULT_EPS, DEFAULT_N_MAX,
                      DEFAULT_PRECISION_BITS, evaluate, exact_series,
@@ -219,9 +220,8 @@ def derive_recurrence(eq: LinearDifferenceEquation) -> CoefficientRecurrence:
 def _solve_initial_block(rec: CoefficientRecurrence,
                          free_values: Mapping[int, object]) -> list[ExactScalar]:
     b = rec.block_size
-    rank_rows = [list(row) for row in rec.prefix_constraints]
     # rank of the homogeneous part decides how many values the caller must pin
-    rank = _row_rank([row[:] for row in rank_rows], b)
+    rank, _ = _gauss_jordan([list(row) + [ZERO] for row in rec.prefix_constraints], b)
     needed = b - rank
     if len(free_values) < needed:
         raise DeterminacyError(
@@ -230,67 +230,72 @@ def _solve_initial_block(rec: CoefficientRecurrence,
         raise DeterminacyError(
             f"over-determined: {needed} free value(s) required, got {len(free_values)}")
 
-    rows: list[tuple[list[ExactScalar], ExactScalar]] = \
-        [(row, ZERO) for row in rank_rows]
+    rows = [list(row) + [ZERO] for row in rec.prefix_constraints]
     for idx, val in sorted(free_values.items()):
         if not 0 <= idx < b:
             raise DeterminacyError(
                 f"free value index a{idx} outside the initial block [0, {b})")
         unit = [ZERO] * b
         unit[idx] = ONE
-        rows.append((unit, as_exact(val)))
-    return _gauss_solve(rows, b)
+        rows.append(unit + [as_exact(val)])
+    _, values = _gauss_jordan(rows, b)
+    missing = [col for col, v in enumerate(values) if v is None]
+    if missing:
+        raise DeterminacyError(
+            f"free values leave coordinates a{missing} undetermined")
+    return values
 
 
-def _row_rank(rows: list[list[ExactScalar]], width: int) -> int:
-    rank = 0
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(rows))
-                      if not rows[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                f = rows[i][col] / lead
-                for c in range(col, width):
-                    rows[i][c] = rows[i][c] - f * rows[rank][c]
-        rank += 1
-    return rank
+def _gauss_jordan(rows: list[list[ExactScalar]],
+                  width: int) -> tuple[int, list[ExactScalar | None]]:
+    """Reduce augmented rows [c_0 .. c_(width-1), rhs] in place.
 
-
-def _gauss_solve(rows: list[tuple[list[ExactScalar], ExactScalar]],
-                 width: int) -> list[ExactScalar]:
-    mat = [row + [rhs] for row, rhs in rows]
+    Returns the rank of the coefficient part and the solution, with None for
+    each coordinate that no pivot fixes.  A row that reduces to 0 = rhs with
+    rhs nonzero raises DeterminacyError.
+    """
     pivots: list[int] = []
     r = 0
     for col in range(width):
-        pivot = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero()), None)
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        lead = mat[r][col]
-        for i in range(len(mat)):
-            if i != r and not mat[i][col].is_zero():
-                f = mat[i][col] / lead
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        for i in range(len(rows)):
+            if i != r and not rows[i][col].is_zero():
+                f = rows[i][col] / lead
                 for c in range(col, width + 1):
-                    mat[i][c] = mat[i][c] - f * mat[r][c]
+                    rows[i][c] = rows[i][c] - f * rows[r][c]
         pivots.append(col)
         r += 1
-        if r == len(mat):
+        if r == len(rows):
             break
-    for i in range(r, len(mat)):
-        if not mat[i][width].is_zero():
-            raise DeterminacyError("constraints and free values are inconsistent")
-    if len(pivots) < width:
-        missing = sorted(set(range(width)) - set(pivots))
-        raise DeterminacyError(
-            f"free values leave coordinates a{missing} undetermined")
-    out = [ZERO] * width
-    for row_idx, col in enumerate(pivots):
-        out[col] = mat[row_idx][width] / mat[row_idx][col]
+    if any(not row[width].is_zero() for row in rows[r:]):
+        raise DeterminacyError("constraints and free values are inconsistent")
+    values: list[ExactScalar | None] = [None] * width
+    for i, col in enumerate(pivots):
+        values[col] = rows[i][width] / rows[i][col]
+    return r, values
+
+
+def _integer_polynomials(polys: Sequence[Polynomial]) -> list[list[tuple[int, int]]]:
+    """The (re, im) integer coefficients of polys, all scaled by one positive factor."""
+    nums, _ = integer_numerators([c for p in polys for c in p.coeffs])
+    out, start = [], 0
+    for p in polys:
+        out.append(nums[start:start + len(p.coeffs)])
+        start += len(p.coeffs)
     return out
+
+
+def _horner(coeffs: Sequence[tuple[int, int]], m: int) -> tuple[int, int]:
+    """A Gaussian-integer polynomial at the integer m, as (re, im)."""
+    re = im = 0
+    for c_re, c_im in reversed(coeffs):
+        re = re * m + c_re
+        im = im * m + c_im
+    return re, im
 
 
 def solve_recurrence(rec: CoefficientRecurrence,
@@ -298,27 +303,48 @@ def solve_recurrence(rec: CoefficientRecurrence,
                      n_target: int) -> tuple[ExactScalar, ...]:
     """Coefficients a_0..a_N in exact arithmetic.
 
+    Fraction-free (Bareiss 1968): the q_i are scaled to Gaussian-integer
+    polynomials, and the last `order` coefficients are kept as Gaussian-
+    integer numerators over one positive running denominator.  Each step
+    divides by the leading value through its conjugate, so the denominator
+    grows by a positive integer; the window is then divided by its gcd, and
+    the new coefficient is reduced once as it is emitted.
+
     Raises SingularRecurrenceError when the leading recurrence polynomial
     vanishes at a needed index (no resonance analysis is attempted) and
     DeterminacyError when free_values do not match the solution dimension.
     """
     if n_target < 0:
         raise ValueError("n_target must be nonnegative")
-    block = _solve_initial_block(rec, free_values)
-    a = list(block)
+    a = _solve_initial_block(rec, free_values)
     d = rec.order
-    lead = rec.q[d]
     m = rec.n_start
+    *q, lead = _integer_polynomials(rec.q)
+    window, den = integer_numerators(a[m:m + d])
     while len(a) <= n_target:
-        denom = lead(m)
-        if denom.is_zero():
+        l_re, l_im = _horner(lead, m)
+        if not l_re and not l_im:
             raise SingularRecurrenceError(m)
-        acc = ZERO
-        for i in range(d):
-            qi = rec.q[i](m)
-            if not qi.is_zero():
-                acc = acc + qi * a[m + i]
-        a.append(-acc / denom)
+        s_re = s_im = 0
+        for qi, (x_re, x_im) in zip(q, window):
+            q_re, q_im = _horner(qi, m)
+            s_re += q_re * x_re - q_im * x_im
+            s_im += q_re * x_im + q_im * x_re
+        # with lead = c u, c the gcd of its parts (|lead| when it is real):
+        # a_(m+d) = -s / (den lead) = -s conj(u) / (den c |u|^2)
+        c = math.gcd(l_re, l_im)
+        u_re, u_im = l_re // c, l_im // c
+        scale = c * (u_re * u_re + u_im * u_im)
+        new = (-(s_re * u_re + s_im * u_im), s_re * u_im - s_im * u_re)
+        window = [(x_re * scale, x_im * scale) for x_re, x_im in window[1:]]
+        window.append(new)
+        den *= scale
+        # newest first: its numerators are usually the smallest, and gcd stops at 1
+        g = math.gcd(*(x for pair in reversed(window) for x in pair), den)
+        if g > 1:
+            window = [(x_re // g, x_im // g) for x_re, x_im in window]
+            den //= g
+        a.append(from_numerators(*window[-1], den))
         m += 1
     return tuple(a[:n_target + 1])
 

@@ -51,6 +51,18 @@ def test_exact_series_round_trip():
     assert back.origin == "samples"
 
 
+def test_exact_series_keeps_precision_bits():
+    s = newton_series([1, 2, 4], precision_bits=256)
+    data = series_to_json(s)
+    assert data["precision_bits"] == 256
+    assert data["coeffs"] == ["1", "1", "1/2"]
+    back = series_from_json(json.loads(json.dumps(data)))
+    assert back.precision_bits == 256
+    assert back.coeffs == s.coeffs
+    del data["precision_bits"]  # files written before the field existed
+    assert series_from_json(data).precision_bits == 128
+
+
 def test_gaussian_rational_coefficients_survive():
     rng = random.Random(9)
     s = Polynomial(tuple(rand_scalar(rng) for _ in range(8)))
