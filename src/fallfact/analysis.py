@@ -132,7 +132,12 @@ def classify(coeffs: Sequence, margin: float = 0.1,
              window_fraction: float = 0.5) -> Classification:
     """Entire if chi < 1 - margin; else right-half-plane when |a_n| n! peaks
     early (before the last quartile); else unknown.  Raw numbers included."""
-    est = chi_estimate(coeffs, window_fraction)
+    return _classify_estimate(coeffs, chi_estimate(coeffs, window_fraction), margin)
+
+
+def _classify_estimate(coeffs: Sequence, est: ChiEstimate,
+                       margin: float) -> Classification:
+    """classify, given the chi estimate of coeffs that it starts from."""
     if est.zero_sequence:
         return Classification(ENTIRE, 0.0, False)
     if not est.undefined and est.value < 1.0 - margin:

@@ -10,23 +10,32 @@ transform of the stored polynomial.
 
 Two coefficient regimes: "exact" (Gaussian rationals) and "approx"
 (configurable-precision binary floats via mpmath, default 128-bit
-significand).  Evaluation runs in an isolated mpmath context per call, so it
-is re-entrant with no shared mutable state.
+significand).  Evaluation still builds an isolated mpmath context per call.
+What repeated calls share lives on the series: a private memo of values
+derived from the coefficients alone, chiefly the coefficients cast to raw
+libmp mpc tuples (one prefix per precision) and their integer numerators
+for exact sums at integer points.  Those tuples are immutable and belong
+to no context, so evaluation stays re-entrant; each coefficient is cast at
+most once per precision.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (fone, fzero, from_int, mpc_abs, mpc_add, mpc_mul,
+                          mpc_sub_mpf, mpf_gt, mpf_lt, mpf_mul)
 
 from .basis import StirlingTable, apply_table, default_table
 from .errors import EvaluationOverflowError, RegimeMismatchError
-from .exact import ExactScalar, ONE, ZERO, as_exact, to_mpc
+from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
+                    integer_numerators, to_mpc)
 from .polynomial import Polynomial
 
 EXACT = "exact"
@@ -58,6 +67,10 @@ class BinomialSeries:
     regime: str = EXACT
     origin: str = ""
     precision_bits: int = DEFAULT_PRECISION_BITS
+    # values derived from the coefficients alone, by key: cast prefixes by
+    # precision, "numerators", "classify"; outside ==, hash and repr
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        hash=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.regime not in (EXACT, APPROX):
@@ -81,6 +94,27 @@ class BinomialSeries:
 
     def with_coeffs(self, coeffs: Iterable) -> "BinomialSeries":
         return BinomialSeries(tuple(coeffs), self.regime, self.origin, self.precision_bits)
+
+    def _memoized(self, key, build: Callable):
+        """build(), kept under key: it must depend on the coefficients only."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
+    def _casts(self, ctx: MPContext, count: int) -> tuple:
+        """The first count coefficients as raw mpc tuples at ctx's precision.
+
+        The stored prefix is replaced by a longer one, never extended in
+        place, so a concurrent caller always reads a correct prefix; threads
+        racing on one series may repeat a cast, never store a wrong one.
+        """
+        have = self._memo.get(ctx.prec, ())
+        if len(have) < count:
+            have += tuple(to_mpc(a, ctx)._mpc_ for a in self.coeffs[len(have):count])
+            self._memo[ctx.prec] = have
+        return have
 
 
 def exact_series(coeffs: Iterable, origin: str = "") -> BinomialSeries:
@@ -240,18 +274,21 @@ def evaluate_exact(series: BinomialSeries, z) -> ExactScalar:
         raise RegimeMismatchError("evaluate_exact requires the exact regime")
     zz = as_exact(z)
     if zz.is_integer() and zz.re >= 0:
-        # z^(n_) is an integer here, and vanishes for every n > z
+        # z^(n_) is an integer here, and vanishes for every n > z: sum the
+        # integer numerators over their common denominator, reduce once
         m = zz.re.numerator
-        re = im = Fraction(0)
+        nums, den = series._memoized("numerators",
+                                     lambda: integer_numerators(series.coeffs))
+        re = im = 0
         ff = 1
-        for n, a in enumerate(series.coeffs[:m + 1]):
+        for n, (a_re, a_im) in enumerate(nums[:m + 1]):
             if n:
                 ff *= m - n + 1
-            if a.re:
-                re += a.re * ff
-            if a.im:
-                im += a.im * ff
-        return ExactScalar(re, im)
+            if a_re:
+                re += a_re * ff
+            if a_im:
+                im += a_im * ff
+        return from_numerators(re, im, den)
     total = ZERO
     ff = ONE
     for n, a in enumerate(series.coeffs):
@@ -289,7 +326,8 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
       * n_max reached first: returned with converged=False.
 
     The result value is an mpc from an isolated context at precision_bits
-    (default: the series' own precision for approx series, else 128).
+    (default: the series' own precision for approx series, else 128).  The
+    coefficients are cast once per precision and kept on the series.
     """
     if precision_bits is None:
         precision_bits = series.precision_bits
@@ -320,37 +358,51 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
         limit = n_max
         capped = True
 
-    eps_mp = ctx.mpf(eps)
-    overflow = ctx.mpf(10) ** OVERFLOW_EXPONENT
+    # The loop runs on raw libmp tuples, with the same operations in the
+    # same order as ctx.mpc arithmetic, so every result is bit-identical.
+    prec, rnd = ctx._prec_rounding
+    eps_mp = ctx.mpf(eps)._mpf_
+    # binary exponents (exp + bitcount) of a positive finite eps and the cap
+    eps_top = eps_mp[2] + eps_mp[3] if eps_mp[0] == 0 and eps_mp[1] else None
+    overflow = (ctx.mpf(10) ** OVERFLOW_EXPONENT)._mpf_
+    overflow_top = overflow[2] + overflow[3]
     min_index = int(ctx.ceil(abs(zz))) + 5
-    partial = ctx.mpc(0)
-    ff = ctx.mpc(1)
-    mags: list = []
+    z_raw = zz._mpc_
+    partial = ctx.mpc(0)._mpc_
+    ff = ctx.mpc(1)._mpc_
+    casts = ()
+    # the final window of terms, for the tail bound (a window <= 0 slices
+    # from the front in _geometric_tail, so then every term is kept)
+    recent: deque = deque(maxlen=window if window > 0 else None)
     streak = 0
     terms_used = 0
-    mag = ctx.mpf(0)
     stopped_by_window = False
 
     for n in range(limit + 1):
-        a = series.coeffs[n]
-        term = to_mpc(a, ctx) * ff
-        partial += term
-        mag = abs(term)
-        mags.append(mag)
+        if n == len(casts):
+            casts = series._casts(ctx, min(limit + 1, 2 * n + 16))
+        term = mpc_mul(casts[n], ff, prec, rnd)
+        partial = mpc_add(partial, term, prec, rnd)
+        recent.append(term)
         terms_used = n + 1
-        if mag > overflow:
-            raise EvaluationOverflowError(n)
-        if n >= min_index and mag < eps_mp * max(ctx.mpf(1), abs(partial)):
+        top = _top_exponent(term)
+        # |term| <= 2^(top+1) <= 2^(overflow_top-1) <= overflow: no overflow
+        if top is None or top + 2 > overflow_top:
+            if mpf_gt(mpc_abs(term, prec, rnd), overflow):
+                raise EvaluationOverflowError(n)
+        if n >= min_index and _below_window(term, top, partial, eps_mp, eps_top,
+                                            prec, rnd):
             streak += 1
             if streak >= window:
                 stopped_by_window = True
                 break
         else:
             streak = 0
-        ff *= zz - n
+        ff = mpc_mul(ff, mpc_sub_mpf(z_raw, from_int(n), prec, rnd), prec, rnd)
 
     if stopped_by_window:
         converged, reason = True, "window"
+        mags = [ctx.make_mpf(mpc_abs(t, prec, rnd)) for t in recent]
         tail = _geometric_tail(mags, window)
     elif capped:
         # the cap cut the sum short of its natural end, integer point or not
@@ -360,8 +412,46 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     else:
         converged, tail = True, 0.0  # full stored sum, exact for the object
 
-    last = float(mag) if terms_used else 0.0
-    return EvaluationResult(partial, terms_used, last, tail, converged, reason)
+    last = float(ctx.make_mpf(mpc_abs(recent[-1], prec, rnd))) if terms_used else 0.0
+    return EvaluationResult(ctx.make_mpc(partial), terms_used, last, tail,
+                            converged, reason)
+
+
+def _top_exponent(z: tuple):
+    """e with the larger part of the raw mpc z in [2^(e-1), 2^e).
+
+    -inf for zero; None when a part is infinite or nan, where no bound holds.
+    Rounded to nearest, |z| then lies in [2^(e-1), 2^(e+1)].
+    """
+    top = -math.inf
+    for part in z:
+        if part[1]:
+            top = max(top, part[2] + part[3])
+        elif part != fzero:
+            return None
+    return top
+
+
+def _below_window(term: tuple, top, partial: tuple, eps: tuple, eps_top,
+                  prec: int, rnd: str) -> bool:
+    """|term| < eps * max(1, |partial|), rounded as the mpf objects round it.
+
+    eps_top is None unless eps is finite and positive.  Then eps lies in
+    [2^(eps_top-1), 2^eps_top) and, with p the top exponent of partial,
+    max(1, |partial|) in [2^max(0, p-1), 2^max(0, p+1)], so exponent bounds
+    decide the test unless the two sides come within a few binades; only
+    then are the magnitudes taken.
+    """
+    if top is not None and eps_top is not None:
+        p = _top_exponent(partial)
+        if p is not None:
+            if top + 1 < eps_top - 1 + max(0, p - 1):
+                return True
+            if top - 1 >= eps_top + max(0, p + 1):
+                return False
+    size = mpc_abs(partial, prec, rnd)
+    scale = mpf_mul(eps, size if mpf_gt(size, fone) else fone, prec, rnd)
+    return mpf_lt(mpc_abs(term, prec, rnd), scale)
 
 
 def _geometric_tail(mags: Sequence, window: int) -> float:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .analysis import (Classification, ENTIRE, GrowthEstimate, UNKNOWN,
-                       chi_estimate, classify)
+                       _classify_estimate, chi_estimate, classify)
 from .errors import (DeterminacyError, InputFormatError, PoleError,
                      SingularRecurrenceError)
 from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
@@ -363,8 +363,8 @@ def formal_solve(eq: LinearDifferenceEquation,
         est = GrowthEstimate(0.0, (0, n_target), Classification(ENTIRE, 0.0, False))
     elif len(coeffs) >= 16:
         chi = chi_estimate(coeffs, window_fraction)
-        cls = classify(coeffs, margin, window_fraction)
-        est = GrowthEstimate(chi.value, chi.window, cls)
+        est = GrowthEstimate(chi.value, chi.window,
+                             _classify_estimate(coeffs, chi, margin))
     else:
         est = GrowthEstimate(math.nan, (0, n_target),
                              Classification(UNKNOWN, math.nan, True))
@@ -467,7 +467,7 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
     if p < 1:
         raise InputFormatError("continuation needs an equation of order >= 1")
     if check_classification:
-        cls = classify(series.coeffs)
+        cls = series._memoized("classify", lambda: classify(series.coeffs))
         if cls.kind == UNKNOWN:
             raise InputFormatError(
                 "series not classified entire or right-half-plane; "

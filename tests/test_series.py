@@ -234,3 +234,244 @@ def test_taylor_approx_regime():
     assert back.regime == "approx"
     for got, want in zip(back.coeffs, s.coeffs):
         assert abs(complex(got) - complex(want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# evaluate on raw tuples: bit-identical to the context-object loop
+# ---------------------------------------------------------------------------
+
+def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=None,
+                        window=5):
+    """The ctx.mpc loop evaluate ran before the cast memo, kept as an oracle."""
+    from fallfact.exact import to_mpc
+    from fallfact.series import (OVERFLOW_EXPONENT, _as_integer_point,
+                                 _exact_term_magnitude, _geometric_tail)
+    if precision_bits is None:
+        precision_bits = series.precision_bits
+    ctx = make_context(precision_bits)
+    zz = to_mpc(z, ctx)
+    if series.regime == "exact" and isinstance(z, (int, Fraction, ExactScalar)) \
+            and not isinstance(z, bool):
+        ze = as_exact(z)
+        if ze.is_integer() and ze.re >= 0:
+            m = int(ze.re)
+            stop = min(m, len(series.coeffs) - 1)
+            return (to_mpc(evaluate_exact(series, ze), ctx), max(stop + 1, 0),
+                    _exact_term_magnitude(series, m, stop), 0.0, True, "integer")
+    m = _as_integer_point(zz, ctx)
+    limit = len(series.coeffs) - 1
+    reason = "exhausted"
+    if m is not None and m < limit:
+        limit, reason = m, "integer"
+    capped = False
+    if n_max < limit:
+        limit, capped = n_max, True
+    eps_mp = ctx.mpf(eps)
+    overflow = ctx.mpf(10) ** OVERFLOW_EXPONENT
+    min_index = int(ctx.ceil(abs(zz))) + 5
+    partial, ff = ctx.mpc(0), ctx.mpc(1)
+    mags, streak, terms_used, mag, by_window = [], 0, 0, ctx.mpf(0), False
+    for n in range(limit + 1):
+        term = to_mpc(series.coeffs[n], ctx) * ff
+        partial += term
+        mag = abs(term)
+        mags.append(mag)
+        terms_used = n + 1
+        if mag > overflow:
+            raise EvaluationOverflowError(n)
+        if n >= min_index and mag < eps_mp * max(ctx.mpf(1), abs(partial)):
+            streak += 1
+            if streak >= window:
+                by_window = True
+                break
+        else:
+            streak = 0
+        ff *= zz - n
+    if by_window:
+        converged, reason, tail = True, "window", _geometric_tail(mags, window)
+    elif capped:
+        converged, reason, tail = False, "n_max", math.inf
+    else:
+        converged, tail = True, 0.0
+    last = float(mag) if terms_used else 0.0
+    return partial, terms_used, last, tail, converged, reason
+
+
+def _fields(res):
+    return (res.value, res.terms_used, res.last_term_magnitude, res.tail_bound,
+            res.converged, res.reason)
+
+
+def _outcome(fn, *args, **kwargs):
+    """Every field of the result, or the index at which it overflowed."""
+    try:
+        res = fn(*args, **kwargs)
+    except EvaluationOverflowError as exc:
+        return ("overflow", exc.index)
+    return _fields(res) if hasattr(res, "reason") else res
+
+
+def _identity_series():
+    from fallfact.interp import newton_series
+    from fallfact.riccati import riccati_equation
+    from fallfact.solver import LinearDifferenceEquation, formal_solve
+    order_half, _ = formal_solve(
+        LinearDifferenceEquation("delta", (poly(1), poly(3), poly(6, 4))),
+        {0: 1, 1: Fraction(-1, 2)}, 300)
+    gauss, _ = formal_solve(riccati_equation(4, as_exact("6+2i"), as_exact("3-1i")),
+                            {0: 1, 1: as_exact("-1/2+1/3i")}, 120)
+    floats = newton_series([2.0 ** (k / 3) for k in range(60)])
+    return order_half, gauss, floats
+
+
+def test_evaluate_bit_identical_to_object_loop():
+    rng = random.Random(2024)
+    points = [complex(1024.0 ** (k / 7) * math.cos(a), 1024.0 ** (k / 7) * math.sin(a))
+              for k, a in ((k, rng.uniform(0, 2 * math.pi)) for k in range(8))]
+    points += [7 + 0j, 7.0, 12, 2.25]
+    settings = [dict(eps=eps, window=w) for eps in (1e-12, 1e-30) for w in (1, 7)]
+    settings.append(dict(eps=1e-12, n_max=40))
+    compared = 0
+    for s in _identity_series():
+        for bits in (128, 256):  # the same series object: memo keyed by precision
+            for z in points:
+                for kw in settings:
+                    want = _outcome(_reference_evaluate, s, z, precision_bits=bits, **kw)
+                    got = _outcome(evaluate, s, z, precision_bits=bits, **kw)
+                    assert got == want, (s.origin, bits, z, kw)
+                    compared += 1
+    assert compared == 3 * 2 * len(points) * len(settings)
+
+
+def test_evaluate_overflow_at_the_same_index():
+    # the threshold is 10^100000 (series.OVERFLOW_EXPONENT): a first term
+    # that rounds to it does not overflow, a slightly larger one does; odd
+    # numerators keep the casts quick
+    big = 10 ** 100000 + 1
+    cases = [[big], [big + 10 ** 99990], [1, 3, big * 3 ** 40],
+             [1] * 6 + [Fraction(big * 3, 7)], [Fraction(1, 3)] * 30]
+    for coeffs in cases:
+        s = exact_series(coeffs)
+        for z in (0.5, complex(-40, 3)):
+            for bits in (128, 256):
+                want = _outcome(_reference_evaluate, s, z, precision_bits=bits)
+                got = _outcome(evaluate, s, z, precision_bits=bits)
+                assert got == want, (coeffs[-1], z, bits)
+    with pytest.raises(EvaluationOverflowError) as exc:
+        evaluate(exact_series(cases[2]), 0.5)
+    assert exc.value.index == 2
+
+
+def test_evaluate_exact_integer_points_match_fraction_sum():
+    rng = random.Random(31)
+    for _ in range(40):
+        s = rand_series(rng, n_max=20)
+        m = rng.randint(0, 25)
+        want = sum((a * math.perm(m, n) for n, a in enumerate(s.coeffs)), as_exact(0))
+        assert evaluate_exact(s, m) == want
+        assert evaluate_exact(s, as_exact(m)) == want
+
+
+def test_evaluate_casts_each_coefficient_once_per_precision(monkeypatch):
+    import fallfact.series as series_mod
+    from fallfact.serialization import series_to_json
+    casts = []
+    real_to_mpc = series_mod.to_mpc
+
+    def counting(x, ctx):
+        if isinstance(x, ExactScalar):  # a coefficient, not the point
+            casts.append(ctx.prec)
+        return real_to_mpc(x, ctx)
+
+    monkeypatch.setattr(series_mod, "to_mpc", counting)
+    s, fresh = geometric_series(60), geometric_series(60)
+    # |z| = 200 sums every stored term; the other points stop early
+    points = [complex(200, 1), 2.25, complex(1, 3), complex(-5, 0.5), 0.75] * 4
+    first = [_fields(evaluate(s, z)) for z in points]
+    assert casts == [128] * len(s.coeffs)
+    assert [_fields(evaluate(s, z)) for z in points] == first
+    assert casts == [128] * len(s.coeffs)
+    for z in points:
+        evaluate(s, z, precision_bits=256)
+    assert casts == [128] * len(s.coeffs) + [256] * len(s.coeffs)
+
+    # summing a short prefix casts no more than a short prefix
+    del casts[:]
+    res = evaluate(fresh, 0.5)
+    assert res.reason == "window" and len(casts) < len(fresh.coeffs)
+
+    evaluate_exact(s, 40)
+    assert set(s._memo) == {128, 256, "numerators"}
+    assert s == fresh and fresh == s
+    assert hash(s) == hash(fresh)
+    assert repr(s) == repr(fresh)
+    assert series_to_json(s) == series_to_json(fresh)
+
+
+def test_window_test_decided_like_the_objects_near_its_threshold():
+    # terms within a few binades of eps * max(1, |partial|), where the
+    # exponent bounds must either be right or leave the test to the magnitudes
+    from fallfact.series import _below_window, _top_exponent
+    rng = random.Random(77)
+    for bits in (128, 256):
+        ctx = make_context(bits)
+        prec, rnd = ctx._prec_rounding
+        for eps in (1e-12, 1e-30, 0.75, 3.0):
+            eps_mp = ctx.mpf(eps)
+            eps_top = eps_mp._mpf_[2] + eps_mp._mpf_[3]
+            for _ in range(400):
+                size = ctx.mpf(2) ** rng.randint(-6, 6) * rng.uniform(0.5, 2)
+                partial = ctx.mpc(*[size * rng.uniform(-1, 1) for _ in range(2)])
+                target = eps_mp * max(ctx.mpf(1), abs(partial))
+                scale = target * ctx.mpf(2) ** rng.randint(-4, 3) * rng.uniform(0.5, 2)
+                parts = [scale * rng.uniform(-1, 1), scale * rng.uniform(-1, 1)]
+                if rng.random() < 0.2:
+                    parts[rng.randrange(2)] = ctx.mpf(0)
+                term = ctx.mpc(*parts)
+                want = abs(term) < eps_mp * max(ctx.mpf(1), abs(partial))
+                got = _below_window(term._mpc_, _top_exponent(term._mpc_), partial._mpc_,
+                                    eps_mp._mpf_, eps_top, prec, rnd)
+                assert got == want, (bits, eps, term, partial)
+
+
+def test_threads_share_the_cast_memo_safely():
+    # threads grow the same prefixes in different orders under a short switch
+    # interval; a racing store may repeat a cast but never keep a wrong one
+    import sys
+    import threading
+    from fallfact.exact import to_mpc
+    s, fresh = geometric_series(120), geometric_series(120)
+    points = [complex(300 / (k + 1) * math.cos(k), 300 / (k + 1) * math.sin(k))
+              for k in range(12)]
+    want = {bits: [_fields(evaluate(fresh, z, precision_bits=bits)) for z in points]
+            for bits in (128, 256)}
+    got, errors = {}, []
+
+    def work(k):
+        try:
+            order = points[k:] + points[:k]
+            for bits in (128, 256) if k % 2 else (256, 128):
+                res = {z: _fields(evaluate(s, z, precision_bits=bits)) for z in order}
+                got[k, bits] = [res[z] for z in points]
+        except Exception as exc:  # reported below with the thread's index
+            errors.append((k, exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors
+    assert len(got) == 12
+    for (k, bits), values in got.items():
+        assert values == want[bits], (k, bits)
+    for bits in (128, 256):
+        ctx = make_context(bits)
+        cast = s._memo[bits]
+        assert cast == tuple(to_mpc(a, ctx)._mpc_ for a in s.coeffs[:len(cast)])

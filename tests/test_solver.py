@@ -325,3 +325,49 @@ def test_verify_solution_flags_wrong_function():
                           [1.0, 2.0], eps=1e-10)
     assert not rep.passed
     assert rep.max_residual > 1e-3
+
+
+def test_continuation_classifies_a_series_once(monkeypatch):
+    import fallfact.solver as solver_mod
+    calls = []
+    real_classify = solver_mod.classify
+
+    def counting(coeffs, *args, **kwargs):
+        calls.append(len(coeffs))
+        return real_classify(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "classify", counting)
+    eq, s = doubling_setup()
+    values = [complex(continuation_eval(eq, s, z)) for z in (-1.0, -2.5, complex(-3, 2))]
+    assert calls == [len(s.coeffs)]
+    for z, v in zip((-1.0, -2.5, complex(-3, 2)), values):
+        assert abs(v - complex(2) ** z) < 1e-11 * abs(complex(2) ** z)
+    # an unclassifiable series is refused on every call, with the same message
+    junk = exact_series([Fraction(math.factorial(n)) for n in range(40)])
+    for _ in range(2):
+        with pytest.raises(InputFormatError, match="not classified"):
+            continuation_eval(eq, junk, -1.0)
+    assert calls == [len(s.coeffs), len(junk.coeffs)]
+
+
+def test_formal_solve_estimates_chi_once(monkeypatch):
+    import fallfact.analysis as analysis_mod
+    import fallfact.solver as solver_mod
+    from fallfact.analysis import chi_estimate, classify
+    calls = []
+
+    def counting(coeffs, *args, **kwargs):
+        calls.append(len(coeffs))
+        return chi_estimate(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "chi_estimate", counting)
+    monkeypatch.setattr(analysis_mod, "chi_estimate", counting)
+    for eq, free, margin, fraction in ((ORDER_HALF, {0: 1, 1: Fraction(-1, 2)}, 0.1, 0.5),
+                                       (FACTORIAL, {0: 1}, 0.3, 0.25),
+                                       (GEOMETRIC, {0: 1}, 0.1, 0.5)):
+        del calls[:]
+        s, est = formal_solve(eq, free, 80, margin=margin, window_fraction=fraction)
+        assert calls == [81]
+        chi = chi_estimate(s.coeffs, fraction)
+        assert (est.chi_estimate, est.chi_window) == (chi.value, chi.window)
+        assert est.classification == classify(s.coeffs, margin, fraction)
