@@ -17,8 +17,7 @@ from .basis import (StirlingTable, binomial_to_poly, default_table,
 from .config import RunConfig, from_env
 from .errors import (DeterminacyError, EvaluationOverflowError, FallfactError,
                      InputFormatError, MathematicalObstruction,
-                     NonConvergenceError, NumericalFailure, PoleError,
-                     RegimeMismatchError, SingularRecurrenceError)
+                     NumericalFailure, PoleError, SingularRecurrenceError)
 from .exact import ExactScalar, as_exact
 from .interp import (InterpolationReport, SampleTable, forward_differences,
                      newton_series, reconstruct_check)
@@ -30,7 +29,7 @@ from .series import (AcceleratedResult, BinomialSeries, EvaluationResult,
                      TaylorCoefficients, approx_series, binomial_from_taylor,
                      delta, evaluate, evaluate_accelerated, evaluate_exact,
                      exact_series, linear_combine, mul_by_poly, mul_by_z,
-                     shift, taylor_from_binomial, z_delta_k)
+                     shift, taylor_from_binomial)
 from .solver import (CoefficientRecurrence, ContinuationResult,
                      LinearDifferenceEquation, NewtonPolygon,
                      VerificationReport, candidate_orders, continuation_eval,

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import ExactScalar
+from .exact import ExactScalar, lift
 
 ENTIRE = "entire"
 RIGHT_HALF_PLANE = "right-half-plane"
@@ -33,32 +32,20 @@ def _abs_squared_ints(a: ExactScalar) -> tuple[int, int]:
 
 
 def log_abs(a) -> float | None:
-    """ln|a| as float, None for zero.  Exact scalars avoid float overflow.
+    """ln|a| as float, None for zero; no float overflow at any size.
 
-    An exact scalar is taken apart into integers: ln|p| - ln q for a real
-    p/q, and for a Gaussian rational half the log of |a|^2 from its
-    unreduced integer numerator and denominator.
+    a is lifted exactly (exact.lift) and taken apart into integers: ln|p| -
+    ln q for a real p/q, and for a Gaussian rational half the log of |a|^2
+    from its unreduced integer numerator and denominator.
     """
-    if isinstance(a, ExactScalar):
-        if a.im:
-            num, _ = _abs_squared_ints(a)
-            return 0.5 * math.log(num) - math.log(a.re.denominator) \
-                - math.log(a.im.denominator)
-        a = a.re
-    if isinstance(a, Fraction):
-        if not a:
-            return None
-        return math.log(abs(a.numerator)) - math.log(a.denominator)
-    if isinstance(a, int):
-        return math.log(abs(a)) if a else None
-    mag = abs(a)  # complex, float, mpf/mpc
-    if mag == 0:
+    a = lift(a)
+    if a.im:
+        num, _ = _abs_squared_ints(a)
+        return 0.5 * math.log(num) - math.log(a.re.denominator) \
+            - math.log(a.im.denominator)
+    if not a.re:
         return None
-    try:
-        return float(math.log(mag))
-    except (OverflowError, ValueError):
-        import mpmath
-        return float(mpmath.log(mag))
+    return math.log(abs(a.re.numerator)) - math.log(a.re.denominator)
 
 
 @dataclass(frozen=True)
@@ -143,17 +130,7 @@ def _classify_estimate(coeffs: Sequence, est: ChiEstimate,
     if not est.undefined and est.value < 1.0 - margin:
         return Classification(ENTIRE, est.value, False)
 
-    if all(isinstance(a, ExactScalar) for a in coeffs):
-        log_best, best_idx = _exact_peak_of_an_nfact(coeffs)
-    else:
-        log_best, best_idx = None, None
-        for n, a in enumerate(coeffs):
-            la = log_abs(a)
-            if la is None:
-                continue
-            cur = 2.0 * (la + math.lgamma(n + 1))  # log of |a_n|^2 (n!)^2
-            if log_best is None or cur > log_best:
-                log_best, best_idx = cur, n
+    log_best, best_idx = _exact_peak_of_an_nfact(coeffs)
     if log_best is not None and best_idx < math.floor(0.75 * len(coeffs)) \
             and log_best < 1400.0:
         return Classification(RIGHT_HALF_PLANE, est.value, est.undefined,
@@ -164,7 +141,8 @@ def _classify_estimate(coeffs: Sequence, est: ChiEstimate,
 def _exact_peak_of_an_nfact(coeffs: Sequence) -> tuple[float | None, int | None]:
     """First argmax of |a_n| n! by exact cross-multiplied comparison.
 
-    Returns (log of the squared peak, index); float log only at the end.
+    The coefficients are lifted exactly.  Returns (log of the squared peak,
+    index); float log only at the end.
     """
     best_num = best_den = None
     best_idx = None
@@ -172,6 +150,7 @@ def _exact_peak_of_an_nfact(coeffs: Sequence) -> tuple[float | None, int | None]
     for n, a in enumerate(coeffs):
         if n:
             fact *= n
+        a = lift(a)
         if a.is_zero():
             continue
         num, den = _abs_squared_ints(a)

@@ -278,10 +278,8 @@ def cmd_interp(args) -> int:
     if not values:
         raise InputFormatError("no samples given")
     series = newton_series(values)
-    cfg = _resolved(args)
     if args.check:
-        report = reconstruct_check(series, values,
-                                   precision_bits=cfg.precision_bits)
+        report = reconstruct_check(series, values)
         print(f"max_deviation {report.max_deviation:.3e}")
     with _out_stream(args.out) as fh:
         dump_json(series_to_json(series), fh)
@@ -318,8 +316,7 @@ def cmd_convert(args) -> int:
         series = _load_series(args.series)
         m_max = args.m_max if args.m_max is not None else series.truncation_order
         tc = taylor_from_binomial(series, m_max, args.k_cut)
-        coeffs = [str(c) for c in tc.coeffs] if series.regime == "exact" else \
-            [[complex(c).real, complex(c).imag] for c in tc.coeffs]
+        coeffs = [str(c) for c in tc.coeffs]
         if tc.chi_flagged:
             print("warning: growth estimate >= 1; Taylor conversion is formal",
                   file=sys.stderr)
@@ -470,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="re-evaluate at the sample points and report deviation")
     p.add_argument("--out", default=None)
-    _add_numeric_flags(p)
     p.set_defaults(handler=cmd_interp)
 
     p = sub.add_parser("convert", help="convert equations or series between bases")

@@ -36,10 +36,6 @@ class DeterminacyError(InputFormatError):
     """free_values over- or under-determine the initial coefficient block."""
 
 
-class RegimeMismatchError(InputFormatError):
-    """Exact and approximate series mixed where a uniform regime is required."""
-
-
 class NumericalFailure(FallfactError):
     pass
 
@@ -48,9 +44,3 @@ class EvaluationOverflowError(NumericalFailure):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"term magnitude overflow at index {index}")
-
-
-class NonConvergenceError(NumericalFailure):
-    def __init__(self, point, message: str | None = None):
-        self.point = point
-        super().__init__(message or f"evaluation did not converge at z={point}")

@@ -1,9 +1,11 @@
 """Exact Gaussian-rational scalars.
 
-The exact regime of the toolkit works over Q(i): every scalar is a pair of
-reduced rationals (re, im). fractions.Fraction already guarantees reduced
-form and a positive denominator, so this module only adds the complex
-structure, parsing, and formatting.
+The toolkit computes over Q(i): every scalar is a pair of reduced
+rationals (re, im). fractions.Fraction already guarantees reduced form and
+a positive denominator, so this module only adds the complex structure,
+parsing, and formatting.  Binary floats (float, complex, mpmath mpf and
+mpc) are rationals too: lift gives their exact image, so approximate data
+enters the same arithmetic without rounding.
 
 The integer hot paths (basis conversion, the recurrence solver, the Newton
 triangle) work on integer numerators over one common denominator instead:
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re as _re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -164,6 +167,56 @@ def as_exact(x: RationalLike) -> ExactScalar:
     if isinstance(x, str):
         return ExactScalar.parse(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
+
+
+def lift(x) -> ExactScalar:
+    """Exact image of a scalar: exact input as as_exact reads it, and a
+    float, complex, mpf or mpc as the binary rational it holds."""
+    if isinstance(x, ExactScalar):
+        return x
+    if isinstance(x, float):
+        return ExactScalar(Fraction(x))
+    if isinstance(x, complex):
+        return ExactScalar(Fraction(x.real), Fraction(x.imag))
+    if hasattr(x, "_mpf_"):
+        return ExactScalar(_binary_fraction(x._mpf_))
+    if hasattr(x, "_mpc_"):
+        return ExactScalar(*map(_binary_fraction, x._mpc_))
+    return as_exact(x)
+
+
+def _binary_fraction(raw: tuple) -> Fraction:
+    """The rational (-1)^sign * man * 2^exp of a raw mpf (sign, man, exp, bc)."""
+    sign, man, exp, bc = raw
+    if not man:
+        if bc:  # mpmath marks inf and nan by a zero mantissa and bc < 0
+            raise ValueError("cannot lift a non-finite value")
+        return Fraction(0)
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def magnitude(x: ExactScalar) -> float:
+    """|x| as a float: inf above the float range, the least subnormal below it.
+
+    Only x = 0 reads 0.0.  Where |x|^2 leaves the normal float range (which
+    happens long before |x| does), |x| comes from the logarithms of the
+    exact numerator and denominator instead.
+    """
+    sq = x.abs_squared()
+    if not sq:
+        return 0.0
+    try:
+        sq_float = float(sq)
+    except OverflowError:
+        sq_float = math.inf
+    if sys.float_info.min <= sq_float < math.inf:
+        return math.sqrt(sq_float)
+    half_log = 0.5 * (math.log(sq.numerator) - math.log(sq.denominator))
+    try:
+        return max(math.exp(half_log), math.ulp(0.0))
+    except OverflowError:
+        return math.inf
 
 
 def integer_numerators(values: Iterable[ExactScalar]) -> tuple[list[tuple[int, int]], int]:

@@ -10,30 +10,18 @@ back at the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import NonConvergenceError
-from .exact import ExactScalar, as_exact, from_numerators, integer_numerators
-from .series import (BinomialSeries, DEFAULT_EPS, DEFAULT_N_MAX,
-                     DEFAULT_PRECISION_BITS, EXACT, evaluate, evaluate_exact,
-                     make_context)
+from .exact import (ExactScalar, from_numerators, integer_numerators, lift,
+                    magnitude)
+# evaluate and make_context are not called here; they stay importable
+# because perfbench's tracer patches them on this module
+from .series import (BinomialSeries, DEFAULT_PRECISION_BITS, EXACT,  # noqa: F401
+                     evaluate, evaluate_exact, make_context)
 
-
-def _lift(value) -> tuple[ExactScalar, bool]:
-    """Exact image of a sample and whether it was exact to begin with."""
-    if isinstance(value, bool):
-        raise TypeError("bool is not a sample value")
-    if isinstance(value, (ExactScalar, int, Fraction, str)):
-        return as_exact(value), True
-    if isinstance(value, float):
-        return ExactScalar(Fraction(value)), False
-    if isinstance(value, complex):
-        return ExactScalar(Fraction(value.real), Fraction(value.imag)), False
-    c = complex(value)  # mpf / mpc and anything complex-like
-    return ExactScalar(Fraction(c.real), Fraction(c.imag)), False
+_EXACT_SAMPLE_TYPES = (ExactScalar, int, Fraction, str)
 
 
 @dataclass(frozen=True)
@@ -58,9 +46,8 @@ def _lift_samples(values: Sequence) -> tuple[list[tuple[int, int]], int, bool]:
     and whether every sample was exact to begin with."""
     if not values:
         raise ValueError("need at least one sample")
-    lifted = [_lift(v) for v in values]
-    nums, den = integer_numerators(v for v, _ in lifted)
-    return nums, den, all(flag for _, flag in lifted)
+    nums, den = integer_numerators(map(lift, values))
+    return nums, den, all(isinstance(v, _EXACT_SAMPLE_TYPES) for v in values)
 
 
 def _difference_rows(row: list[int]) -> Iterator[list[int]]:
@@ -123,29 +110,16 @@ class InterpolationReport:
 
 
 def reconstruct_check(series: BinomialSeries, values: Sequence,
-                      eps: float | None = None,
-                      n_max: int = DEFAULT_N_MAX,
-                      precision_bits: int = DEFAULT_PRECISION_BITS) -> InterpolationReport:
+                      eps: float | None = None) -> InterpolationReport:
     """Deviation |Y(k) - f(k)| at every original sample point.
 
-    For an exact series over exact samples the deviations are identically
-    zero; otherwise they bound the rounding of the final cast.  A point
-    whose evaluation does not converge raises NonConvergenceError.
+    Each deviation is the exact difference of the stored series' finite sum
+    at k and the sample's exact image, rounded to float at the end.  It is zero
+    for an exact series over exact samples; for float samples it is what
+    storing the coefficients as binary64 values costs.
     """
-    ctx = make_context(precision_bits)
-    deviations = []
-    for k, v in enumerate(values):
-        target, target_exact = _lift(v)
-        if series.regime == EXACT and target_exact:
-            diff = evaluate_exact(series, k) - target
-            deviations.append(math.sqrt(float(diff.abs_squared())))
-            continue
-        res = evaluate(series, k, DEFAULT_EPS, n_max, precision_bits=precision_bits)
-        if not res.converged:
-            raise NonConvergenceError(k)
-        got = ctx.mpc(res.value)
-        want = ctx.mpc(complex(target))
-        deviations.append(float(abs(got - want)))
+    deviations = tuple(magnitude(evaluate_exact(series, k) - lift(v))
+                       for k, v in enumerate(values))
     worst = max(deviations, default=0.0)
-    return InterpolationReport(tuple(range(len(values))), tuple(deviations),
+    return InterpolationReport(tuple(range(len(values))), deviations,
                                worst, eps, None if eps is None else worst < eps)

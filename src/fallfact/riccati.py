@@ -127,30 +127,22 @@ def verify_riccati(instance: RiccatiInstance, evaluator: Callable,
     than verified.
     """
     ctx = make_context(precision_bits)
-    used: list = []
-    residuals: list[float] = []
-    skipped: list = []
-    for z in points:
-        zz = to_mpc(z, ctx)
+
+    def residual(zz):
         den_a = instance.coefficient.den.eval_numeric(zz, ctx)
         if abs(den_a) < _DENOMINATOR_FLOOR:
-            skipped.append((complex(zz), "near pole of A"))
-            continue
+            return "near pole of A"
         try:
             f0 = riccati_transform(instance, evaluator, zz, precision_bits)
             f1 = riccati_transform(instance, evaluator, zz + 1, precision_bits)
         except PoleError:
-            skipped.append((complex(zz), "transform breakdown"))
-            continue
+            return "transform breakdown"
         if abs(1 - f0) < _TRANSFORM_FLOOR:
-            skipped.append((complex(zz), "f too close to 1"))
-            continue
+            return "f too close to 1"
         a_val = instance.coefficient.eval_numeric(zz, ctx)
-        residuals.append(float(abs(f1 * (1 - f0) - f0 - a_val)))
-        used.append(complex(zz))
-    worst = max(residuals, default=0.0)
-    return RiccatiReport(tuple(used), tuple(residuals), tuple(skipped), worst,
-                         eps, None if eps is None else worst < eps)
+        return float(abs(f1 * (1 - f0) - f0 - a_val))
+
+    return _report(ctx, points, residual, eps)
 
 
 def g_step_check(instance: RiccatiInstance, evaluator: Callable,
@@ -174,23 +166,34 @@ def g_step_check(instance: RiccatiInstance, evaluator: Callable,
             raise PoleError(complex(w))
         return -(y1 - y0) / y0
 
+    def residual(zz):
+        try:
+            g0 = g_at(zz)
+            g1 = g_at(zz + 1)
+        except PoleError:
+            return "zero of the solution"
+        azb = a_poly.eval_numeric(zz, ctx)
+        lhs = g1 * azb * (1 - g0)
+        rhs = 1 + (azb - c_val) * g0
+        scale = max(ctx.mpf(1), abs(lhs), abs(rhs))
+        return float(abs(lhs - rhs) / scale)
+
+    return _report(ctx, points, residual, eps)
+
+
+def _report(ctx, points: Sequence, residual: Callable, eps: float | None) -> RiccatiReport:
+    """residual(z) at each point cast into ctx: a float, or why z is skipped."""
     used: list = []
     residuals: list[float] = []
     skipped: list = []
     for z in points:
         zz = to_mpc(z, ctx)
-        try:
-            g0 = g_at(zz)
-            g1 = g_at(zz + 1)
-        except PoleError:
-            skipped.append((complex(zz), "zero of the solution"))
-            continue
-        azb = a_poly.eval_numeric(zz, ctx)
-        lhs = g1 * azb * (1 - g0)
-        rhs = 1 + (azb - c_val) * g0
-        scale = max(ctx.mpf(1), abs(lhs), abs(rhs))
-        residuals.append(float(abs(lhs - rhs) / scale))
-        used.append(complex(zz))
+        outcome = residual(zz)
+        if isinstance(outcome, str):
+            skipped.append((complex(zz), outcome))
+        else:
+            residuals.append(outcome)
+            used.append(complex(zz))
     worst = max(residuals, default=0.0)
     return RiccatiReport(tuple(used), tuple(residuals), tuple(skipped), worst,
                          eps, None if eps is None else worst < eps)

@@ -2,10 +2,12 @@
 
 Exact data travels as rational strings ("(-3/2)+(1/2)i" style comes back
 through the same parser that accepts CLI input), little-endian for
-polynomial coefficient arrays.  Approx series store [re, im] float pairs.
-Series of both regimes store their working precision; files written
-without it read as 128 bits.  CSV writers cover evaluation grids, modulus
-profiles, and verification residual tables.
+polynomial coefficient arrays.  Approx series store their binary64
+coefficients as [re, im] float pairs and read them back as Python complex
+values, bit for bit; computations lift them exactly.  Series of both
+regimes store precision_bits, the precision evaluations cast to by
+default; files written without it read as 128 bits.  CSV writers cover
+evaluation grids, modulus profiles, and verification residual tables.
 """
 
 from __future__ import annotations

@@ -8,11 +8,19 @@ remain faithful to the underlying series (delta: N-1, shift by m: N-m,
 mul_by_z: N+1, and so on); beyond that the entries are still the exact
 transform of the stored polynomial.
 
-Two coefficient regimes: "exact" (Gaussian rationals) and "approx"
-(configurable-precision binary floats via mpmath, default 128-bit
-significand).  Evaluation still builds an isolated mpmath context per call.
-What repeated calls share lives on the series: a private memo of values
-derived from the coefficients alone, chiefly the coefficients cast to raw
+The regime says how the coefficients are stored: "exact" series hold
+Gaussian rationals, "approx" series hold binary64 values (Python floats or
+complex, as newton_series and the JSON reader give them).  Binary floats are
+rationals, so every computation runs on the coefficients' exact image: the
+coefficients themselves for an exact series, their lossless lift
+(exact.lift) for an approx one.  Operators and Taylor conversions therefore
+return exact series, also for approx input.  precision_bits is the
+precision evaluations cast to by default, not a property of the stored
+data.
+
+Evaluation builds an isolated mpmath context per call.  What repeated calls
+share lives on the series: a private memo of values derived from the
+coefficients alone, chiefly the exact image, the coefficients cast to raw
 libmp mpc tuples (one prefix per precision) and their integer numerators
 for exact sums at integer points.  Those tuples are immutable and belong
 to no context, so evaluation stays re-entrant; each coefficient is cast at
@@ -22,7 +30,6 @@ most once per precision.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,9 +40,9 @@ from mpmath.libmp import (fone, fzero, from_int, mpc_abs, mpc_add, mpc_mul,
                           mpc_sub_mpf, mpf_gt, mpf_lt, mpf_mul)
 
 from .basis import StirlingTable, apply_table, default_table
-from .errors import EvaluationOverflowError, RegimeMismatchError
+from .errors import EvaluationOverflowError
 from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
-                    integer_numerators, to_mpc)
+                    integer_numerators, lift, magnitude, to_mpc)
 from .polynomial import Polynomial
 
 EXACT = "exact"
@@ -67,8 +74,8 @@ class BinomialSeries:
     regime: str = EXACT
     origin: str = ""
     precision_bits: int = DEFAULT_PRECISION_BITS
-    # values derived from the coefficients alone, by key: cast prefixes by
-    # precision, "numerators", "classify"; outside ==, hash and repr
+    # values derived from the coefficients alone, by key: "exact", cast
+    # prefixes by precision, "numerators", "classify"; outside ==, hash and repr
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         hash=False, repr=False)
 
@@ -87,13 +94,19 @@ class BinomialSeries:
         """Index of the last stored coefficient; -1 for the zero series."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
+    @property
+    def _exact_coeffs(self) -> tuple:
+        """The coefficients' exact image, which every computation runs on."""
         if self.regime == EXACT:
-            return all(c.is_zero() for c in self.coeffs)
-        return all(c == 0 for c in self.coeffs)
+            return self.coeffs
+        return self._memoized("exact", lambda: tuple(map(lift, self.coeffs)))
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self._exact_coeffs)
 
     def with_coeffs(self, coeffs: Iterable) -> "BinomialSeries":
-        return BinomialSeries(tuple(coeffs), self.regime, self.origin, self.precision_bits)
+        """An exact series of these coefficients, with this one's origin and precision."""
+        return BinomialSeries(tuple(coeffs), EXACT, self.origin, self.precision_bits)
 
     def _memoized(self, key, build: Callable):
         """build(), kept under key: it must depend on the coefficients only."""
@@ -126,10 +139,6 @@ def approx_series(coeffs: Iterable, precision_bits: int = DEFAULT_PRECISION_BITS
     return BinomialSeries(tuple(coeffs), APPROX, origin, precision_bits)
 
 
-def _zero_of(series: BinomialSeries):
-    return ZERO if series.regime == EXACT else 0
-
-
 # ---------------------------------------------------------------------------
 # linear operators
 # ---------------------------------------------------------------------------
@@ -139,7 +148,7 @@ def delta(series: BinomialSeries) -> BinomialSeries:
 
     Faithful through index N-1 when the input truncates an infinite series.
     """
-    a = series.coeffs
+    a = series._exact_coeffs
     return series.with_coeffs((n + 1) * a[n + 1] for n in range(len(a) - 1))
 
 
@@ -149,11 +158,10 @@ def mul_by_z(series: BinomialSeries) -> BinomialSeries:
     Output has one more coefficient than the input and is faithful through
     index N+1 for truncations (the missing a_{N+1} never enters c_{N+1}).
     """
-    a = series.coeffs
+    a = series._exact_coeffs
     if not a:
-        return series
-    zero = _zero_of(series)
-    out = [zero]
+        return series.with_coeffs(())
+    out = [ZERO]
     for n in range(1, len(a)):
         out.append(n * a[n] + a[n - 1])
     out.append(a[-1])
@@ -168,11 +176,10 @@ def shift(series: BinomialSeries, m: int) -> BinomialSeries:
     """
     if m < 0:
         raise ValueError("shift step must be a nonnegative integer")
-    a = list(series.coeffs)
+    a = series._exact_coeffs
     if not a or m == 0:
-        return series
-    zero = _zero_of(series)
-    out = [zero] * len(a)
+        return series.with_coeffs(a)
+    out = [ZERO] * len(a)
     cur = a
     for j in range(m + 1):
         c = math.comb(m, j)
@@ -187,67 +194,34 @@ def shift(series: BinomialSeries, m: int) -> BinomialSeries:
 def linear_combine(pairs: Sequence[tuple]) -> BinomialSeries:
     """sum_k s_k * Y_k, zero-extended to the longest input.
 
-    All series must share one regime; scalars are coerced to that regime.
+    Series of either regime mix; float and complex scalars are lifted exactly.
     """
     if not pairs:
         raise ValueError("no series to combine")
-    regimes = {s.regime for _, s in pairs}
-    if len(regimes) != 1:
-        raise RegimeMismatchError("cannot combine exact and approx series")
-    template = pairs[0][1]
-    exact = template.regime == EXACT
-    zero = _zero_of(template)
-    out = [zero] * max(len(s.coeffs) for _, s in pairs)
+    out = [ZERO] * max(len(s.coeffs) for _, s in pairs)
     for scalar, s in pairs:
-        if exact:
-            sc = as_exact(scalar)
-            if sc.is_zero():
-                continue
-        else:
-            sc = complex(scalar) if isinstance(scalar, ExactScalar) else scalar
-        for n, v in enumerate(s.coeffs):
+        sc = lift(scalar)
+        if sc.is_zero():
+            continue
+        for n, v in enumerate(s._exact_coeffs):
             out[n] = out[n] + sc * v
-    return template.with_coeffs(out)
+    return pairs[0][1].with_coeffs(out)
 
 
 def mul_by_poly(series: BinomialSeries, p: Polynomial) -> BinomialSeries:
     """p(z) * Y via iterated mul_by_z, zero-extended to length N + deg p + 1."""
     if p.is_zero() or not series.coeffs:
         return series.with_coeffs(())
-    exact = series.regime == EXACT
-    zero = _zero_of(series)
     width = len(series.coeffs) + len(p.coeffs) - 1
-    out = [zero] * width
+    out = [ZERO] * width
     power = series
     for k, c in enumerate(p.coeffs):
         if k:
             power = mul_by_z(power)
         if c.is_zero():
             continue
-        sc = c if exact else complex(c)
-        for n, v in enumerate(power.coeffs):
-            out[n] = out[n] + sc * v
-    return series.with_coeffs(out)
-
-
-def z_delta_k(series: BinomialSeries, k: int) -> BinomialSeries:
-    """z * delta^k Y directly: c_n = n(n+1)...(n+k-1) ((n+k) a_{n+k} + a_{n+k-1}).
-
-    Coincides coefficientwise with mul_by_z applied to k-fold delta.
-    """
-    if k < 1:
-        raise ValueError("z_delta_k requires k >= 1")
-    a = series.coeffs
-    if len(a) <= k:
-        return series.with_coeffs(())
-    zero = _zero_of(series)
-    out = [zero]
-    for n in range(1, len(a) - k + 1):
-        rising = 1
-        for i in range(k):
-            rising *= n + i
-        head = a[n + k] if n + k < len(a) else zero
-        out.append(rising * ((n + k) * head + a[n + k - 1]))
+        for n, v in enumerate(power._exact_coeffs):
+            out[n] = out[n] + c * v
     return series.with_coeffs(out)
 
 
@@ -269,16 +243,14 @@ class EvaluationResult:
 
 
 def evaluate_exact(series: BinomialSeries, z) -> ExactScalar:
-    """Exact finite sum of an exact-regime series at an exact point."""
-    if series.regime != EXACT:
-        raise RegimeMismatchError("evaluate_exact requires the exact regime")
+    """Exact finite sum of the series' exact image at an exact point."""
     zz = as_exact(z)
     if zz.is_integer() and zz.re >= 0:
         # z^(n_) is an integer here, and vanishes for every n > z: sum the
         # integer numerators over their common denominator, reduce once
         m = zz.re.numerator
         nums, den = series._memoized("numerators",
-                                     lambda: integer_numerators(series.coeffs))
+                                     lambda: integer_numerators(series._exact_coeffs))
         re = im = 0
         ff = 1
         for n, (a_re, a_im) in enumerate(nums[:m + 1]):
@@ -291,7 +263,7 @@ def evaluate_exact(series: BinomialSeries, z) -> ExactScalar:
         return from_numerators(re, im, den)
     total = ZERO
     ff = ONE
-    for n, a in enumerate(series.coeffs):
+    for n, a in enumerate(series._exact_coeffs):
         if n:
             ff = ff * (zz - (n - 1))
         if not a.is_zero():
@@ -326,8 +298,8 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
       * n_max reached first: returned with converged=False.
 
     The result value is an mpc from an isolated context at precision_bits
-    (default: the series' own precision for approx series, else 128).  The
-    coefficients are cast once per precision and kept on the series.
+    (default: the series' own precision_bits).  The coefficients are cast
+    once per precision and kept on the series.
     """
     if precision_bits is None:
         precision_bits = series.precision_bits
@@ -471,30 +443,7 @@ def _geometric_tail(mags: Sequence, window: int) -> float:
 def _exact_term_magnitude(series: BinomialSeries, m: int, stop: int) -> float:
     if stop < 0:
         return 0.0
-    return _exact_magnitude(series.coeffs[stop] * math.perm(m, stop))
-
-
-def _exact_magnitude(x: ExactScalar) -> float:
-    """|x| as a float: inf above the float range, the least subnormal below it.
-
-    Only x = 0 reads 0.0.  Where |x|^2 leaves the normal float range (which
-    happens long before |x| does), |x| comes from the logarithms of the
-    exact numerator and denominator instead.
-    """
-    sq = x.abs_squared()
-    if not sq:
-        return 0.0
-    try:
-        sq_float = float(sq)
-    except OverflowError:
-        sq_float = math.inf
-    if sys.float_info.min <= sq_float < math.inf:
-        return math.sqrt(sq_float)
-    half_log = 0.5 * (math.log(sq.numerator) - math.log(sq.denominator))
-    try:
-        return max(math.exp(half_log), math.ulp(0.0))
-    except OverflowError:
-        return math.inf
+    return magnitude(series._exact_coeffs[stop] * math.perm(m, stop))
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +492,6 @@ def evaluate_accelerated(series: BinomialSeries, z) -> AcceleratedResult:
         with error_estimate inf, converged False, reason "singular".
       * otherwise L_k, reason "levin" when converged, else "unsettled".
     """
-    if series.regime != EXACT:
-        raise RegimeMismatchError("evaluate_accelerated requires the exact regime")
     ctx = make_context(series.precision_bits)
     zz = as_exact(z)
 
@@ -555,7 +502,7 @@ def evaluate_accelerated(series: BinomialSeries, z) -> AcceleratedResult:
 
     terms, sums = [], []
     total, ff = ZERO, ONE
-    for n, a in enumerate(series.coeffs):
+    for n, a in enumerate(series._exact_coeffs):
         if n:
             ff = ff * (zz - (n - 1))
         term = a * ff
@@ -583,7 +530,7 @@ def evaluate_accelerated(series: BinomialSeries, z) -> AcceleratedResult:
     diff = value - previous
     converged = (diff.abs_squared()
                  <= Fraction(DEFAULT_EPS) ** 2 * max(1, value.abs_squared()))
-    return AcceleratedResult(to_mpc(value, ctx), used, _exact_magnitude(diff),
+    return AcceleratedResult(to_mpc(value, ctx), used, magnitude(diff),
                              converged, "levin" if converged else "unsettled")
 
 
@@ -616,6 +563,7 @@ def taylor_from_binomial(series: BinomialSeries, m_max: int,
                          table: StirlingTable | None = None) -> TaylorCoefficients:
     """b_n = sum_{k=n}^{k_cut} a_k * T1[k][n]: Taylor coefficients at 0.
 
+    Exact for either regime: the sums run on the coefficients' exact image.
     The inner sums are only absolutely convergent when the source decays
     fast enough (growth estimate below 1); otherwise the result is flagged
     but still returned, truncated at k_cut.
@@ -628,18 +576,7 @@ def taylor_from_binomial(series: BinomialSeries, m_max: int,
     if k_cut > order:
         raise ValueError(f"k_cut {k_cut} exceeds truncation order {order}")
     table = table or default_table()
-    if series.regime == EXACT:
-        out = apply_table(series.coeffs[:k_cut + 1], table.first_kind_ints, m_max + 1)
-    else:
-        ctx = make_context(series.precision_bits)
-        out = []
-        for n in range(m_max + 1):
-            acc = ctx.mpc(0)
-            for k in range(n, k_cut + 1):
-                eta = table.first_kind_ints(k)[n]
-                if eta:
-                    acc = acc + to_mpc(series.coeffs[k], ctx) * to_mpc(eta, ctx)
-            out.append(acc)
+    out = apply_table(series._exact_coeffs[:k_cut + 1], table.first_kind_ints, m_max + 1)
 
     flagged = False
     chi_val: float | None = None
@@ -656,7 +593,12 @@ def binomial_from_taylor(taylor_coeffs: Sequence, n_max: int | None = None,
                          table: StirlingTable | None = None,
                          precision_bits: int = DEFAULT_PRECISION_BITS,
                          origin: str = "") -> BinomialSeries:
-    """a_n = sum_{k=n}^{k_cut} b_k * T2[k][n]: mirror of taylor_from_binomial."""
+    """a_n = sum_{k=n}^{k_cut} b_k * T2[k][n]: mirror of taylor_from_binomial.
+
+    Float, complex and mpmath inputs are lifted exactly, so the result is an
+    exact series whatever the input; precision_bits is its evaluation
+    precision.
+    """
     top = len(taylor_coeffs) - 1
     if k_cut is None:
         k_cut = top
@@ -665,19 +607,6 @@ def binomial_from_taylor(taylor_coeffs: Sequence, n_max: int | None = None,
     if n_max is None:
         n_max = k_cut
     table = table or default_table()
-    exact = all(isinstance(b, (ExactScalar, int, Fraction, str)) for b in taylor_coeffs)
-    if exact:
-        out = apply_table([as_exact(b) for b in taylor_coeffs[:k_cut + 1]],
-                          table.second_kind_ints, n_max + 1)
-    else:
-        ctx = make_context(precision_bits)
-        out = []
-        for n in range(n_max + 1):
-            acc = ctx.mpc(0)
-            for k in range(n, k_cut + 1):
-                eta = table.second_kind_ints(k)[n]
-                if eta:
-                    acc = acc + to_mpc(taylor_coeffs[k], ctx) * to_mpc(eta, ctx)
-            out.append(acc)
-    regime = EXACT if exact else APPROX
-    return BinomialSeries(tuple(out), regime, origin, precision_bits)
+    out = apply_table([lift(b) for b in taylor_coeffs[:k_cut + 1]],
+                      table.second_kind_ints, n_max + 1)
+    return BinomialSeries(tuple(out), EXACT, origin, precision_bits)

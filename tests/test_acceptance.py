@@ -33,7 +33,7 @@ from fallfact.polynomial import Polynomial, RationalFunction, poly
 from fallfact.riccati import riccati_coefficient, riccati_instance, verify_riccati
 from fallfact.series import (delta, evaluate, evaluate_accelerated,
                              evaluate_exact, exact_series, linear_combine,
-                             make_context, mul_by_z, shift, z_delta_k)
+                             make_context, mul_by_z, shift)
 from fallfact.solver import (DELTA_FORM, LinearDifferenceEquation,
                              candidate_orders, continuation_eval,
                              derive_recurrence, newton_polygon,
@@ -246,13 +246,6 @@ def test_ac10_operator_identity_property_suites():
         lhs = delta(mul_by_z(y))
         rhs = linear_combine([(1, shift(y, 1)), (1, mul_by_z(delta(y)))])
         assert lhs == rhs
-    for _ in range(1000):  # z_delta_k is literally mul_by_z after delta^k
-        y = rand_series(rng)
-        k = rng.randint(1, 5)
-        d = y
-        for _ in range(k):
-            d = delta(d)
-        assert z_delta_k(y, k) == mul_by_z(d)
     table = default_table()
     table.ensure(15)
     for _ in range(1000):  # the two Stirling matrices invert each other

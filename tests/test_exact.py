@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fallfact.exact import ExactScalar, I, ONE, ZERO, as_exact, to_mpc
+from fallfact.exact import ExactScalar, I, ONE, ZERO, as_exact, lift, to_mpc
 from fallfact.series import make_context
 
 
@@ -97,3 +97,17 @@ def test_abs_squared_exact():
     x = as_exact("3/5+4/5i")
     assert x.abs_squared() == Fraction(1)
     assert math.isclose(abs(complex(x)), 1.0)
+
+
+def test_lift_is_exact_and_finite_only():
+    ctx = make_context(128)
+    assert lift(0.1) == ExactScalar(Fraction(0.1))
+    assert lift(complex(-0.5, 2 ** -1074)) == ExactScalar(Fraction(-1, 2), Fraction(1, 2 ** 1074))
+    assert lift(ctx.mpf(-3) * 2 ** 300) == as_exact(-3 * 2 ** 300)
+    assert lift(ctx.mpc(0, 0)) == ZERO
+    assert lift("1/3") == as_exact("1/3")
+    for bad in (ctx.inf, ctx.nan, -ctx.inf, ctx.mpc(1, ctx.inf), float("nan"), float("inf")):
+        with pytest.raises((ValueError, OverflowError)):
+            lift(bad)
+    with pytest.raises(TypeError):
+        lift(True)

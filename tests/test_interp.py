@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from fallfact.errors import NonConvergenceError, RegimeMismatchError
 from fallfact.exact import ExactScalar, as_exact, to_mpc
 from fallfact.interp import (SampleTable, forward_differences, newton_series,
                              reconstruct_check)
@@ -38,6 +37,17 @@ def test_float_samples_lose_exact_flag():
     assert forward_differences([1, 2, 3]).exact
     assert not forward_differences([1, 2.0, 3]).exact
     assert not forward_differences([1, complex(2, 1)]).exact
+
+
+def test_mpmath_samples_lift_exactly():
+    # a 128-bit mpf is the binary rational it holds, not its 53-bit rounding
+    ctx = make_context(128)
+    third = ctx.mpf(1) / 3
+    want = Fraction(int(ctx.ldexp(third, 200)), 2 ** 200)  # exact: 2^200 third is an integer
+    assert want != Fraction(float(third))
+    t = forward_differences([third, ctx.mpc(0, third)])
+    assert not t.exact
+    assert t.difference_rows[0] == (ExactScalar(want), ExactScalar(0, want))
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +116,18 @@ def test_reconstruct_approx_small_deviation():
     assert rep.max_deviation < 1e-14 * 3.0 ** 29
 
 
-def test_reconstruct_nonconvergence_surfaces():
-    vals = [float(2 ** k) for k in range(10)]
+def test_reconstruct_approx_is_exact_deviation():
+    # float samples: the deviation is that of the stored binary64
+    # coefficients, summed exactly, against the samples' exact values
+    vals = [2.0 ** (k / 3) for k in range(40)]
     s = newton_series(vals)
-    with pytest.raises(NonConvergenceError):
-        reconstruct_check(s, vals, n_max=2)
+    rep = reconstruct_check(s, vals)
+    for k, v in enumerate(vals):
+        total = sum(Fraction(complex(a).real) * math.perm(k, n)
+                    for n, a in enumerate(s.coeffs[:k + 1]))
+        # magnitude rounds |x|^2 to float before taking its square root
+        assert rep.deviations[k] == pytest.approx(float(abs(total - Fraction(v))), rel=1e-15)
+    assert rep.deviations[0] == 0.0 and rep.max_deviation > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -268,5 +285,6 @@ def test_accelerated_edge_verdicts():
     for samples in ([5], [0]):
         res = evaluate_accelerated(newton_series(samples), half)
         assert (res.converged, res.reason) == (False, "singular")
-    with pytest.raises(RegimeMismatchError):
-        evaluate_accelerated(newton_series([1.0, 2.0, 4.0]), half)
+    # float samples are summed through their exact lift
+    assert evaluate_accelerated(newton_series([1.0, 2.0, 4.0, 8.5]), half) \
+        == evaluate_accelerated(newton_series([1, 2, 4, Fraction(17, 2)]), half)

@@ -2,7 +2,9 @@
 
 sympy supplies Stirling numbers, falling factorials and rank/pivot
 computations; the recurrence is re-run by a plain Fraction loop written
-here.  Example counts are bounded so the whole module stays a few seconds.
+here.  Approx series are checked against their exact lift, taken here with
+Fraction.  Example counts are bounded so the whole module stays a few
+seconds.
 """
 
 from fractions import Fraction
@@ -18,7 +20,9 @@ from fallfact.errors import InputFormatError, SingularRecurrenceError
 from fallfact.exact import ExactScalar, as_exact
 from fallfact.interp import forward_differences, newton_series
 from fallfact.polynomial import Polynomial
-from fallfact.series import evaluate_exact
+from fallfact.series import (BinomialSeries, approx_series, delta, evaluate_exact,
+                             linear_combine, mul_by_poly, mul_by_z, shift,
+                             taylor_from_binomial)
 from fallfact.solver import (DELTA_FORM, LinearDifferenceEquation, derive_recurrence,
                              solve_recurrence)
 
@@ -29,6 +33,8 @@ small = st.integers(-6, 6)
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
 real_scalars = st.builds(ExactScalar, rationals)
 gaussian_scalars = st.builds(ExactScalar, rationals, rationals)
+binary64 = st.floats(allow_nan=False, allow_infinity=False)
+binary_scalars = st.one_of(binary64, st.builds(complex, binary64, binary64))
 
 
 def _sympy(c: ExactScalar):
@@ -88,6 +94,39 @@ def test_newton_series_reproduces_samples(samples):
         assert a * fact == d
     for k, v in enumerate(samples):
         assert evaluate_exact(s, k) == as_exact(v)
+
+
+# ---------------------------------------------------------------------------
+# approx series: every operation is the operation on the exact lift
+# ---------------------------------------------------------------------------
+
+def _fraction_lift(c) -> ExactScalar:
+    c = complex(c)
+    return ExactScalar(Fraction(c.real), Fraction(c.imag))
+
+
+def _lifted(s: BinomialSeries) -> BinomialSeries:
+    return BinomialSeries(tuple(map(_fraction_lift, s.coeffs)), "exact", s.origin,
+                          s.precision_bits)
+
+
+@PROPERTY
+@given(st.lists(binary_scalars, max_size=8), st.lists(binary_scalars, max_size=8),
+       binary_scalars, st.integers(0, 4), st.lists(gaussian_scalars, max_size=3),
+       st.one_of(gaussian_scalars, st.integers(0, 10).map(as_exact)))
+def test_approx_operations_equal_their_exact_lift(a, b, scalar, m, p, z):
+    s, t = approx_series(a, origin="samples"), approx_series(b, precision_bits=192)
+    ls, lt = _lifted(s), _lifted(t)
+    poly = Polynomial(tuple(p))
+    assert s.is_zero() == ls.is_zero()
+    assert delta(s) == delta(ls)
+    assert shift(s, m) == shift(ls, m)
+    assert mul_by_z(s) == mul_by_z(ls)
+    assert mul_by_poly(s, poly) == mul_by_poly(ls, poly)
+    assert linear_combine([(scalar, s), (1, t)]) \
+        == linear_combine([(_fraction_lift(scalar), ls), (1, lt)])
+    assert taylor_from_binomial(s, m) == taylor_from_binomial(ls, m)
+    assert evaluate_exact(s, z) == evaluate_exact(ls, z)
 
 
 # ---------------------------------------------------------------------------

@@ -143,3 +143,16 @@ def test_verify_skips_moebius_singularity():
 
     rep = verify_riccati(inst, near_zero_at_six, [5.0])
     assert rep.skipped == ((complex(5.0), "f too close to 1"),)
+
+
+def test_g_step_skips_zero_of_solution():
+    # the same bookkeeping as verify_riccati: the point is skipped, the rest kept
+    inst = riccati_instance(1, 0, 0)
+
+    def dies_at_five(w):
+        return 0.0 if abs(complex(w) - 5) < 0.25 else 1.0
+
+    rep = g_step_check(inst, dies_at_five, [5.0, 2.0], eps=1.0)
+    assert rep.skipped == ((complex(5.0), "zero of the solution"),)
+    assert rep.points == (complex(2.0),)
+    assert len(rep.residuals) == 1 and rep.passed is not None

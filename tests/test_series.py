@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from fallfact.errors import EvaluationOverflowError, RegimeMismatchError
+from fallfact.errors import EvaluationOverflowError
 from fallfact.exact import ExactScalar, as_exact
 from fallfact.polynomial import Polynomial, poly
 from fallfact.series import (BinomialSeries, approx_series, binomial_from_taylor,
                              delta, evaluate, evaluate_exact, exact_series,
                              linear_combine, make_context, mul_by_poly,
-                             mul_by_z, shift, taylor_from_binomial, z_delta_k)
+                             mul_by_z, shift, taylor_from_binomial)
 
 
 def rand_series(rng, n_max=14, span=20):
@@ -89,26 +89,15 @@ def test_mul_by_poly_pointwise():
         assert evaluate_exact(mul_by_poly(s, p), x) == p(x) * evaluate_exact(s, x)
 
 
-def test_z_delta_k_matches_composition():
-    rng = random.Random(12)
-    for _ in range(60):
-        s = rand_series(rng, n_max=16)
-        k = rng.randint(1, 5)
-        d = s
-        for _ in range(k):
-            d = delta(d)
-        assert z_delta_k(s, k) == mul_by_z(d)
-    with pytest.raises(ValueError):
-        z_delta_k(s, 0)
-
-
 def test_linear_combine_zero_extension_and_regimes():
     a = exact_series([1, 1])
     b = exact_series([2, 2, 1])
     out = linear_combine([(1, a), (as_exact(-3), b)])
     assert out.coeffs == (as_exact(-5), as_exact(-5), as_exact(-3))
-    with pytest.raises(RegimeMismatchError):
-        linear_combine([(1, a), (1.0, approx_series([1.0, 2.0]))])
+    # approx series and float scalars enter through their exact lift
+    mixed = linear_combine([(1, a), (0.5, approx_series([1.0, 0.1]))])
+    assert mixed.regime == "exact"
+    assert mixed.coeffs == (as_exact("3/2"), as_exact(1 + Fraction(0.1) / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +217,17 @@ def test_taylor_chi_flag():
 
 
 def test_taylor_approx_regime():
-    s = approx_series([1.0, 0.5, 0.25], precision_bits=128)
-    t = taylor_from_binomial(s, 2)
-    back = binomial_from_taylor([complex(c) for c in t.coeffs], 2)
-    assert back.regime == "approx"
-    for got, want in zip(back.coeffs, s.coeffs):
-        assert abs(complex(got) - complex(want)) < 1e-12
+    # float input converts exactly both ways: the round trip gives back the
+    # lifted coefficients themselves
+    s = approx_series([1.0, 0.5, 0.25, 0.1], precision_bits=128)
+    lifted = exact_series([Fraction(c) for c in s.coeffs])
+    t = taylor_from_binomial(s, 3)
+    assert t.coeffs == taylor_from_binomial(lifted, 3).coeffs
+    assert binomial_from_taylor(t.coeffs, 3).coeffs == lifted.coeffs
+    dyadic = [1.0, -0.25, 0.75]  # floats given to binomial_from_taylor
+    back = binomial_from_taylor(dyadic, 2)
+    assert back.regime == "exact"
+    assert back.coeffs == binomial_from_taylor([Fraction(b) for b in dyadic], 2).coeffs
 
 
 # ---------------------------------------------------------------------------
