@@ -380,10 +380,14 @@ def cmd_seed_examples(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
+def _add_precision_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision-bits", type=int, default=None,
                    help="working precision (>= 53); FALLFACT_PRECISION_BITS "
                         "applies when the flag is absent")
+
+
+def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
+    _add_precision_flag(p)
     p.add_argument("--eps", type=float, default=None, help="stopping tolerance")
     p.add_argument("--n-max", type=int, default=None, help="evaluation term cap")
 
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-terms", type=int, default=None,
                    help="truncation order for --to binomial")
     p.add_argument("--out", default=None)
-    _add_numeric_flags(p)
+    _add_precision_flag(p)  # the precision a --to binomial series is stored with
     p.set_defaults(handler=cmd_convert)
 
     p = sub.add_parser("continue-eval",

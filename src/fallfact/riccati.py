@@ -26,7 +26,9 @@ from typing import Callable, Sequence
 from .errors import InputFormatError, PoleError
 from .exact import ExactScalar, as_exact, to_mpc
 from .polynomial import Polynomial, RationalFunction
-from .series import DEFAULT_PRECISION_BITS, make_context
+# make_context is not called here; it stays importable because perfbench's
+# tracer patches it on this module
+from .series import DEFAULT_PRECISION_BITS, _context, make_context  # noqa: F401
 from .solver import DELTA_FORM, LinearDifferenceEquation
 
 # breakdown guards for the verification routines
@@ -93,7 +95,7 @@ def riccati_transform(instance: RiccatiInstance, evaluator: Callable, z,
     Needs y(z) and y(z+1); raises PoleError when y(z) or the normalizing
     denominator 2P(z) - c is too small to divide by.
     """
-    ctx = make_context(precision_bits)
+    ctx = _context(precision_bits)
     zz = to_mpc(z, ctx)
     y0 = ctx.mpc(evaluator(zz))
     y1 = ctx.mpc(evaluator(zz + 1))
@@ -126,7 +128,7 @@ def verify_riccati(instance: RiccatiInstance, evaluator: Callable,
     f = 1 breakdown set of the Moebius step are reported as skipped rather
     than verified.
     """
-    ctx = make_context(precision_bits)
+    ctx = _context(precision_bits)
 
     def residual(zz):
         den_a = instance.coefficient.den.eval_numeric(zz, ctx)
@@ -154,7 +156,7 @@ def g_step_check(instance: RiccatiInstance, evaluator: Callable,
 
     Residuals are relative to max(1, |lhs|, |rhs|).
     """
-    ctx = make_context(precision_bits)
+    ctx = _context(precision_bits)
     a_poly = instance.shifted_argument()
     c_val = to_mpc(instance.c, ctx)
     tiny = ctx.mpf(10) ** (-(ctx.dps // 2))

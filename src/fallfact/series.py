@@ -18,13 +18,18 @@ return exact series, also for approx input.  precision_bits is the
 precision evaluations cast to by default, not a property of the stored
 data.
 
-Evaluation builds an isolated mpmath context per call.  What repeated calls
-share lives on the series: a private memo of values derived from the
-coefficients alone, chiefly the exact image, the coefficients cast to raw
-libmp mpc tuples (one prefix per precision) and their integer numerators
-for exact sums at integer points.  Those tuples are immutable and belong
-to no context, so evaluation stays re-entrant; each coefficient is cast at
-most once per precision.
+Evaluation sums in fixed point: z exactly as a Gaussian integer at one
+binary exponent, z^(n_) and the partial sum as Gaussian integers carried
+GUARD bits beyond the requested precision, and every truncation counted
+into a rigorous rounding radius.  mpmath is used to cast the point and the
+coefficients and to wrap the result, in one shared context per precision;
+callers must not change that context's prec.  What repeated calls share
+lives on the series: a private memo of values derived from the
+coefficients alone, chiefly the exact image, the coefficients' fixed-point
+mantissas (one prefix per precision) and their integer numerators for
+exact sums at integer points.  Those are immutable plain integers, so
+evaluation stays re-entrant; each coefficient is cast at most once per
+precision.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (fone, fzero, from_int, mpc_abs, mpc_add, mpc_mul,
-                          mpc_sub_mpf, mpf_gt, mpf_lt, mpf_mul)
+from mpmath.libmp import finf, from_man_exp, mpc_abs
 
 from .basis import StirlingTable, apply_table, default_table
 from .errors import EvaluationOverflowError
@@ -55,6 +59,12 @@ DEFAULT_WINDOW = 5  # consecutive small terms required before stopping
 
 # |term| beyond this aborts evaluation; mpmath itself would happily continue.
 OVERFLOW_EXPONENT = 100000
+# at most the bit length of 10^OVERFLOW_EXPONENT: terms below 2^(this - 2)
+# cannot overflow, the others are compared exactly
+_OVERFLOW_TOP = int(OVERFLOW_EXPONENT * math.log2(10))
+
+# bits z^(n_) and the partial sum carry beyond the requested precision
+GUARD = 20
 
 
 def make_context(precision_bits: int = DEFAULT_PRECISION_BITS) -> MPContext:
@@ -64,6 +74,21 @@ def make_context(precision_bits: int = DEFAULT_PRECISION_BITS) -> MPContext:
     ctx = MPContext()
     ctx.prec = precision_bits
     return ctx
+
+
+_CONTEXTS: dict = {}
+
+
+def _context(precision_bits: int) -> MPContext:
+    """The context shared by every result at this precision; never change its prec.
+
+    Threads racing on the first use may each build one; only the first
+    stored is kept, and every one of them has the same precision.
+    """
+    try:
+        return _CONTEXTS[precision_bits]
+    except KeyError:
+        return _CONTEXTS.setdefault(precision_bits, make_context(precision_bits))
 
 
 @dataclass(frozen=True)
@@ -117,17 +142,35 @@ class BinomialSeries:
             return value
 
     def _casts(self, ctx: MPContext, count: int) -> tuple:
-        """The first count coefficients as raw mpc tuples at ctx's precision.
+        """The first count coefficients cast to ctx's precision, in fixed point.
 
-        The stored prefix is replaced by a longer one, never extended in
-        place, so a concurrent caller always reads a correct prefix; threads
-        racing on one series may repeat a cast, never store a wrong one.
+        Entry n is (re, im, exp, rounded): (re + im i) 2^exp is a_n cast by
+        to_mpc, and rounded says whether the cast changed a_n.  The stored
+        prefix is replaced by a longer one, never extended in place, so a
+        concurrent caller always reads a correct prefix; threads racing on
+        one series may repeat a cast, never store a wrong one.
         """
         have = self._memo.get(ctx.prec, ())
         if len(have) < count:
-            have += tuple(to_mpc(a, ctx)._mpc_ for a in self.coeffs[len(have):count])
+            exact = self._exact_coeffs[len(have):count]
+            casts = [to_mpc(a, ctx) for a in self.coeffs[len(have):count]]
+            have += tuple(_gaussian(c._mpc_) + (lift(c) != a,) for c, a in zip(casts, exact))
             self._memo[ctx.prec] = have
         return have
+
+
+def _gaussian(raw: tuple, max_exp: int | None = None) -> tuple:
+    """(re, im, exp) with (re + im i) 2^exp equal to the raw mpc, exp <= max_exp."""
+    exps = [] if max_exp is None else [max_exp]
+    for sign, man, exp, bc in raw:
+        if man:
+            exps.append(exp)
+        elif bc:  # mpmath marks inf and nan by a zero mantissa and bc != 0
+            raise ValueError("cannot evaluate with a non-finite value")
+    low = min(exps, default=0)
+    re, im = ((-int(man) if sign else int(man)) << (exp - low) if man else 0
+              for sign, man, exp, _ in raw)
+    return re, im, low
 
 
 def exact_series(coeffs: Iterable, origin: str = "") -> BinomialSeries:
@@ -231,12 +274,18 @@ def mul_by_poly(series: BinomialSeries, p: Polynomial) -> BinomialSeries:
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    value: object  # ctx.mpc at the requested precision
+    # an mpc of the context shared at the requested precision: compute with
+    # it freely, but never change that context's prec
+    value: object
     terms_used: int
     last_term_magnitude: float
     tail_bound: float
     converged: bool
     reason: str  # "window" | "integer" | "exhausted" | "n_max"
+    # |value - sum_{n < terms_used} a_n z^(n_)| <= rounding_radius for the
+    # stored exact a_n and z as cast to the precision; the neglected tail
+    # sum_{n >= terms_used} is not covered (see tail_bound)
+    rounding_radius: float
 
     def __complex__(self) -> complex:
         return complex(self.value)
@@ -271,16 +320,6 @@ def evaluate_exact(series: BinomialSeries, z) -> ExactScalar:
     return total
 
 
-def _as_integer_point(z, ctx):
-    """Return nonnegative int when z is exactly a nonnegative integer, else None."""
-    if z.imag != 0:
-        return None
-    r = z.real
-    if r < 0 or r != ctx.floor(r):
-        return None
-    return int(r)
-
-
 def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
              n_max: int = DEFAULT_N_MAX, *,
              precision_bits: int | None = None,
@@ -295,135 +334,224 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
         coefficient decay takes over).
       * exhaustion: all stored coefficients consumed; the value is then the
         exact finite sum of the stored object and is reported converged.
-      * n_max reached first: returned with converged=False.
+      * n_max reached first: returned with converged=False.  The cap holds
+        at integer points too, for every series.
 
-    The result value is an mpc from an isolated context at precision_bits
-    (default: the series' own precision_bits).  The coefficients are cast
-    once per precision and kept on the series.
+    An exact nonnegative integer z (int, Fraction or ExactScalar) whose sum
+    ends within the cap is summed exactly and cast once.  Otherwise z is
+    cast to precision_bits (default: the series' own precision_bits) and
+    the terms are summed in fixed point by _fixed_point_sum; the cast
+    coefficients are kept on the series.  The value is an mpc of the
+    context shared at that precision.
     """
     if precision_bits is None:
         precision_bits = series.precision_bits
-    ctx = make_context(precision_bits)
+    ctx = _context(precision_bits)
     zz = to_mpc(z, ctx)
+    top_index = len(series.coeffs) - 1
 
-    if series.regime == EXACT and isinstance(z, (int, Fraction, ExactScalar)) \
-            and not isinstance(z, bool):
+    if isinstance(z, (int, Fraction, ExactScalar)) and not isinstance(z, bool):
         ze = as_exact(z)
-        if ze.is_integer() and ze.re >= 0:
+        if ze.is_integer() and ze.re >= 0 and min(ze.re, top_index) <= n_max:
             # exact finite sum, cast once at the end
             m = int(ze.re)
             total = evaluate_exact(series, ze)
-            stop = min(m, len(series.coeffs) - 1)
-            last = _exact_term_magnitude(series, m, stop)
-            return EvaluationResult(to_mpc(total, ctx), max(stop + 1, 0), last, 0.0,
-                                    True, "integer")
+            value = to_mpc(total, ctx)
+            stop = min(m, top_index)
+            err = total - lift(value)
+            return EvaluationResult(value, max(stop + 1, 0),
+                                    _exact_term_magnitude(series, m, stop), 0.0, True,
+                                    "integer", _float_up(abs(err.re) + abs(err.im)))
 
-    m = _as_integer_point(zz, ctx)
-
-    limit = len(series.coeffs) - 1
+    point = _gaussian(zz._mpc_, 0)
+    zr, zi, ez = point
+    m = zr >> -ez if not zi and zr >= 0 and not zr & ((1 << -ez) - 1) else None
+    limit = top_index
     reason = "exhausted"
     if m is not None and m < limit:
-        limit = m
-        reason = "integer"
-    capped = False
-    if n_max < limit:
+        limit, reason = m, "integer"
+    capped = n_max < limit
+    if capped:
         limit = n_max
-        capped = True
-
-    # The loop runs on raw libmp tuples, with the same operations in the
-    # same order as ctx.mpc arithmetic, so every result is bit-identical.
-    prec, rnd = ctx._prec_rounding
-    eps_mp = ctx.mpf(eps)._mpf_
-    # binary exponents (exp + bitcount) of a positive finite eps and the cap
-    eps_top = eps_mp[2] + eps_mp[3] if eps_mp[0] == 0 and eps_mp[1] else None
-    overflow = (ctx.mpf(10) ** OVERFLOW_EXPONENT)._mpf_
-    overflow_top = overflow[2] + overflow[3]
     min_index = int(ctx.ceil(abs(zz))) + 5
-    z_raw = zz._mpc_
-    partial = ctx.mpc(0)._mpc_
-    ff = ctx.mpc(1)._mpc_
+
+    re, im, exp, units, recent, terms_used, by_window = _fixed_point_sum(
+        series, ctx, point, limit, min_index, eps, window)
+    value = ctx.make_mpc((from_man_exp(re, exp, precision_bits, "n"),
+                          from_man_exp(im, exp, precision_bits, "n")))
+    scale = Fraction(2) ** exp
+    # the final cast is the last rounding counted
+    err = ExactScalar(re * scale, im * scale) - lift(value)
+    radius = _float_up(units * scale + abs(err.re) + abs(err.im))
+
+    if by_window:
+        converged, reason = True, "window"
+        tail = _geometric_tail([_term_abs(t, ctx) for t in recent], window)
+    elif capped:
+        # the cap cut the sum short of its natural end, integer point or not
+        converged, reason, tail = False, "n_max", math.inf
+    else:
+        converged, tail = True, 0.0  # an integer point's or the stored object's full sum
+    last = float(_term_abs(recent[-1], ctx)) if terms_used else 0.0
+    return EvaluationResult(value, terms_used, last, tail, converged, reason, radius)
+
+
+def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit: int,
+                     min_index: int, eps, window: int) -> tuple:
+    """Terms 0..limit of sum a_n z^(n_), summed in Gaussian-integer fixed point.
+
+    point is z as (re, im, exp) with exp <= 0, so z - n is exact.  z^(n_) is
+    carried at width = precision + GUARD bits, floored after each product;
+    a term is the exact product of that and the cast coefficient; the
+    partial sum's exponent rises with the largest term, keeping width bits
+    of it, and each term is floored into it.  The window rule stops the
+    sum early; the overflow test rounds the term to the precision first.
+
+    Returns (re, im, exp, units, recent, terms_used, by_window): the partial
+    sum is (re + im i) 2^exp, and units 2^exp bounds its distance from the
+    exact sum of the terms used (stored a_n, z as point holds it) before the
+    final cast.  The bound adds, with k the rescales of z^(n_) and u = 2^-width:
+      * |a_n - cast a_n| <= 4 2^-prec |cast a_n| for a rounded cast (mpmath
+        rounds numerator, denominator and quotient to nearest), else 0;
+      * |z^(n_) - carried z^(n_)| <= rho |carried z^(n_)|, with each floor
+        losing at most sqrt(2) 2^(1-width) relative, so
+        rho <= (1 + 4u)^k - 1 <= 8uk while 4uk <= 1/2;
+      * less than sqrt(2) units for each floor of a term or of the sum,
+        counted at the final exponent, which only rises.
+    recent holds the last `window` terms as exact (re, im, exp).
+    """
+    prec = ctx.prec
+    width = prec + GUARD
+    zr, zi, ez = point
+    unit = 1 << -ez
+    eps = ctx.mpf(eps)
+    sign, man, exp, bc = eps._mpf_
+    positive = not sign and man  # and finite
+    eps_exact = lift(eps).re if positive else None
+    eps_top = exp + bc           # eps in [2^(eps_top-1), 2^eps_top)
+    every_small = eps._mpf_ == finf
+    overflow_top = _OVERFLOW_TOP
+    fr, fi, ef = 1, 0, 0  # carried z^(n_) = (fr + fi i) 2^ef
+    dr = zr               # re(z - n) at exponent ez
+    pr = pi = 0
+    es = None             # the sum's exponent, set by the first nonzero term
+    total = rounded_total = 0  # bounds of sum |term| in units of 2^es: all, rounded casts
+    rescales = floors = 0
     casts = ()
     # the final window of terms, for the tail bound (a window <= 0 slices
     # from the front in _geometric_tail, so then every term is kept)
     recent: deque = deque(maxlen=window if window > 0 else None)
     streak = 0
-    terms_used = 0
-    stopped_by_window = False
-
+    by_window = False
     for n in range(limit + 1):
+        if n:
+            # z^(n_) = z^((n-1)_) (z - n + 1) exactly, then floored to width bits
+            if zi:
+                fr, fi = fr * dr - fi * zi, fr * zi + fi * dr
+            else:
+                fr, fi = fr * dr, fi * dr
+            dr -= unit
+            ef += ez
+            s = (abs(fr) | abs(fi)).bit_length() - width  # the larger part's bits
+            if s > 0:
+                fr >>= s
+                fi >>= s
+                ef += s
+                rescales += 1
         if n == len(casts):
             casts = series._casts(ctx, min(limit + 1, 2 * n + 16))
-        term = mpc_mul(casts[n], ff, prec, rnd)
-        partial = mpc_add(partial, term, prec, rnd)
-        recent.append(term)
-        terms_used = n + 1
-        top = _top_exponent(term)
-        # |term| <= 2^(top+1) <= 2^(overflow_top-1) <= overflow: no overflow
-        if top is None or top + 2 > overflow_top:
-            if mpf_gt(mpc_abs(term, prec, rnd), overflow):
-                raise EvaluationOverflowError(n)
-        if n >= min_index and _below_window(term, top, partial, eps_mp, eps_top,
-                                            prec, rnd):
-            streak += 1
-            if streak >= window:
-                stopped_by_window = True
-                break
+        ar, ai, ea, rounded = casts[n]
+        if ai:
+            tr, ti = ar * fr - ai * fi, ar * fi + ai * fr
         else:
-            streak = 0
-        ff = mpc_mul(ff, mpc_sub_mpf(z_raw, from_int(n), prec, rnd), prec, rnd)
+            tr, ti = ar * fr, ar * fi
+        et = ea + ef
+        recent.append((tr, ti, et))
+        b = (abs(tr) | abs(ti)).bit_length()
+        if b:
+            top = b + et  # |term| in [2^(top-1), 2^(top+1/2))
+            if top + 2 > overflow_top and \
+                    _term_abs((tr, ti, et), ctx) > ctx.mpf(10) ** OVERFLOW_EXPONENT:
+                raise EvaluationOverflowError(n)
+            if es is None:
+                es = top - width
+            elif top - width > es:
+                s = top - width - es
+                if (pr | pi) & ((1 << s) - 1):
+                    floors += 1
+                pr >>= s
+                pi >>= s
+                total = -(-total >> s)
+                rounded_total = -(-rounded_total >> s)
+                es += s
+            s = es - et
+            if s > 0:
+                ur, ui = tr >> s, ti >> s
+                floors += 1
+            else:
+                ur, ui = tr << -s, ti << -s
+            pr += ur
+            pi += ui
+            bound = abs(ur) + abs(ui) + 2  # >= |term| in units
+            total += bound
+            if rounded:
+                rounded_total += bound
+        if n >= min_index:
+            if not positive:
+                small = every_small
+            elif not b:
+                small = True
+            else:
+                # exponents decide unless the two sides come within a few binades
+                pb = (abs(pr) | abs(pi)).bit_length()
+                p_top = pb + es if pb else 0  # max(1, |partial|) in [2^lo, 2^(hi+1/2))
+                lo, hi = (p_top - 1, p_top) if p_top > 0 else (0, 0)
+                if top + 2 <= eps_top + lo:
+                    small = True
+                elif top >= eps_top + hi + 2:
+                    small = False
+                else:
+                    small = _below(tr, ti, et, pr, pi, es, eps_exact)
+            if small:
+                streak += 1
+                if streak >= window:
+                    by_window = True
+                    break
+            else:
+                streak = 0
+    # 4 2^-prec (1 + rho) rounded_total + rho total with rho <= rescales 2^-d,
+    # rounded up; 4uk <= 1/2 holds, as 2^(width - 3) terms are never stored
+    d = width - 3
+    bound = rounded_total * ((1 << d) + rescales) * 4 + (total * rescales << prec)
+    units = -(-bound >> (d + prec)) + 2 * floors
+    terms_used = n + 1 if by_window else max(limit + 1, 0)
+    return pr, pi, es or 0, units, recent, terms_used, by_window
 
-    if stopped_by_window:
-        converged, reason = True, "window"
-        mags = [ctx.make_mpf(mpc_abs(t, prec, rnd)) for t in recent]
-        tail = _geometric_tail(mags, window)
-    elif capped:
-        # the cap cut the sum short of its natural end, integer point or not
-        converged, reason, tail = False, "n_max", math.inf
-    elif m is not None and reason == "integer":
-        converged, tail = True, 0.0
-    else:
-        converged, tail = True, 0.0  # full stored sum, exact for the object
 
-    last = float(ctx.make_mpf(mpc_abs(recent[-1], prec, rnd))) if terms_used else 0.0
-    return EvaluationResult(ctx.make_mpc(partial), terms_used, last, tail,
-                            converged, reason)
+def _below(tr: int, ti: int, et: int, pr: int, pi: int, es: int, eps: Fraction) -> bool:
+    """|t| < eps max(1, |p|) exactly, for t = (tr + ti i) 2^et and p = (pr + pi i) 2^es."""
+    t_squared = (tr * tr + ti * ti) * Fraction(4) ** et
+    p_squared = (pr * pr + pi * pi) * Fraction(4) ** es
+    return t_squared < eps * eps * max(1, p_squared)
 
 
-def _top_exponent(z: tuple):
-    """e with the larger part of the raw mpc z in [2^(e-1), 2^e).
-
-    -inf for zero; None when a part is infinite or nan, where no bound holds.
-    Rounded to nearest, |z| then lies in [2^(e-1), 2^(e+1)].
-    """
-    top = -math.inf
-    for part in z:
-        if part[1]:
-            top = max(top, part[2] + part[3])
-        elif part != fzero:
-            return None
-    return top
+def _term_abs(term: tuple, ctx: MPContext):
+    """|term| as a ctx.mpf, for a term (re, im, exp) rounded to ctx's precision."""
+    tr, ti, et = term
+    prec = ctx.prec
+    raw = (from_man_exp(tr, et, prec, "n"), from_man_exp(ti, et, prec, "n"))
+    return ctx.make_mpf(mpc_abs(raw, prec, "n"))
 
 
-def _below_window(term: tuple, top, partial: tuple, eps: tuple, eps_top,
-                  prec: int, rnd: str) -> bool:
-    """|term| < eps * max(1, |partial|), rounded as the mpf objects round it.
-
-    eps_top is None unless eps is finite and positive.  Then eps lies in
-    [2^(eps_top-1), 2^eps_top) and, with p the top exponent of partial,
-    max(1, |partial|) in [2^max(0, p-1), 2^max(0, p+1)], so exponent bounds
-    decide the test unless the two sides come within a few binades; only
-    then are the magnitudes taken.
-    """
-    if top is not None and eps_top is not None:
-        p = _top_exponent(partial)
-        if p is not None:
-            if top + 1 < eps_top - 1 + max(0, p - 1):
-                return True
-            if top - 1 >= eps_top + max(0, p + 1):
-                return False
-    size = mpc_abs(partial, prec, rnd)
-    scale = mpf_mul(eps, size if mpf_gt(size, fone) else fone, prec, rnd)
-    return mpf_lt(mpc_abs(term, prec, rnd), scale)
+def _float_up(q: Fraction) -> float:
+    """The least float >= q, for q >= 0; inf above the float range."""
+    if not q:
+        return 0.0
+    try:
+        f = float(q)
+    except OverflowError:
+        return math.inf
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
 def _geometric_tail(mags: Sequence, window: int) -> float:
@@ -492,7 +620,7 @@ def evaluate_accelerated(series: BinomialSeries, z) -> AcceleratedResult:
         with error_estimate inf, converged False, reason "singular".
       * otherwise L_k, reason "levin" when converged, else "unsettled".
     """
-    ctx = make_context(series.precision_bits)
+    ctx = _context(series.precision_bits)
     zz = as_exact(z)
 
     if zz.is_integer() and zz.re >= 0:

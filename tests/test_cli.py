@@ -322,6 +322,16 @@ def test_convert_source_validation(tmp_path, capsys, geometric_eq):
     assert main(["convert", "--equation", geometric_eq, "--to", "taylor"]) == 3
 
 
+def test_convert_rejects_evaluation_flags(tmp_path, capsys, geometric_eq):
+    # convert evaluates nothing, so it takes no stopping tolerance or term cap
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
+    for flag in (["--eps", "0.5"], ["--n-max", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", "--series", series, "--to", "taylor", *flag])
+        assert exc.value.code == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # continue-eval
 # ---------------------------------------------------------------------------

@@ -143,14 +143,17 @@ def test_n_max_cap_reports_nonconvergence():
 
 
 def test_n_max_beats_integer_label_in_numeric_loop():
-    # integer point but the cap stops short of it: that is a truncation
-    s = approx_series([1.0] * 20)
-    res = evaluate(s, 8, n_max=3)
-    assert not res.converged
-    assert res.reason == "n_max"
-    # with an adequate cap the integer rule applies again
-    ok = evaluate(s, 8, n_max=15)
-    assert ok.converged and ok.reason == "integer"
+    # integer point but the cap stops short of it: that is a truncation,
+    # whichever way the coefficients are stored
+    for s in (approx_series([1.0] * 20), exact_series([1] * 20)):
+        res = evaluate(s, 8, n_max=3)
+        assert not res.converged
+        assert (res.reason, res.terms_used) == ("n_max", 4)
+        assert complex(res.value) == 1 + 8 + 56 + 336
+        # with an adequate cap the integer rule applies again
+        ok = evaluate(s, 8, n_max=15)
+        assert ok.converged and ok.reason == "integer"
+        assert (ok.terms_used, complex(ok.value)) == (9, sum(math.perm(8, n) for n in range(9)))
 
 
 def test_window_requires_min_index():
@@ -231,29 +234,34 @@ def test_taylor_approx_regime():
 
 
 # ---------------------------------------------------------------------------
-# evaluate on raw tuples: bit-identical to the context-object loop
+# evaluate in fixed point: within its rounding radius of the exact sum
 # ---------------------------------------------------------------------------
 
 def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=None,
-                        window=5):
-    """The ctx.mpc loop evaluate ran before the cast memo, kept as an oracle."""
+                        window=5, margins=None):
+    """The ctx.mpc loop evaluate ran before the fixed-point kernel, kept as an oracle.
+
+    margins, when given, receives |r - 1| for each window decision, where
+    r = |term| / (eps * max(1, |partial|)) as this loop rounds it.
+    """
     from fallfact.exact import to_mpc
-    from fallfact.series import (OVERFLOW_EXPONENT, _as_integer_point,
-                                 _exact_term_magnitude, _geometric_tail)
+    from fallfact.series import OVERFLOW_EXPONENT, _exact_term_magnitude, _geometric_tail
     if precision_bits is None:
         precision_bits = series.precision_bits
     ctx = make_context(precision_bits)
     zz = to_mpc(z, ctx)
-    if series.regime == "exact" and isinstance(z, (int, Fraction, ExactScalar)) \
-            and not isinstance(z, bool):
+    top_index = len(series.coeffs) - 1
+    if isinstance(z, (int, Fraction, ExactScalar)) and not isinstance(z, bool):
         ze = as_exact(z)
-        if ze.is_integer() and ze.re >= 0:
+        if ze.is_integer() and ze.re >= 0 and min(ze.re, top_index) <= n_max:
             m = int(ze.re)
-            stop = min(m, len(series.coeffs) - 1)
+            stop = min(m, top_index)
             return (to_mpc(evaluate_exact(series, ze), ctx), max(stop + 1, 0),
                     _exact_term_magnitude(series, m, stop), 0.0, True, "integer")
-    m = _as_integer_point(zz, ctx)
-    limit = len(series.coeffs) - 1
+    m = None
+    if zz.imag == 0 and zz.real >= 0 and zz.real == ctx.floor(zz.real):
+        m = int(zz.real)
+    limit = top_index
     reason = "exhausted"
     if m is not None and m < limit:
         limit, reason = m, "integer"
@@ -273,7 +281,13 @@ def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=Non
         terms_used = n + 1
         if mag > overflow:
             raise EvaluationOverflowError(n)
-        if n >= min_index and mag < eps_mp * max(ctx.mpf(1), abs(partial)):
+        small = False
+        if n >= min_index:
+            scale = eps_mp * max(ctx.mpf(1), abs(partial))
+            small = mag < scale
+            if margins is not None:
+                margins.append(abs(mag / scale - 1))
+        if small:
             streak += 1
             if streak >= window:
                 by_window = True
@@ -293,16 +307,44 @@ def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=Non
 
 def _fields(res):
     return (res.value, res.terms_used, res.last_term_magnitude, res.tail_bound,
-            res.converged, res.reason)
+            res.converged, res.reason, res.rounding_radius)
+
+
+def _exact_partial_sums(series, z):
+    """sums(j) = sum_{n<j} a_n z^(n_) for the exact image of z, any j <= N + 1.
+
+    Integer arithmetic: with z = Z/q, t_j = q^(j-1) den sums(j) obeys
+    t_(j+1) = q t_j + A_j q^j z^(j_), A_j the coefficients' numerators over den.
+    """
+    from fallfact.exact import integer_numerators, lift
+    zz = lift(z)
+    q = math.lcm(zz.re.denominator, zz.im.denominator)
+    zr, zi = int(zz.re * q), int(zz.im * q)
+    nums, den = integer_numerators(series._exact_coeffs)
+    scaled = [(0, 0, 1)]
+    tr = ti = 0
+    fr, fi = 1, 0  # q^n z^(n_)
+    for n, (ar, ai) in enumerate(nums):
+        tr, ti = tr * q + ar * fr - ai * fi, ti * q + ar * fi + ai * fr
+        scaled.append((tr, ti, den * q ** n))
+        dr = zr - n * q
+        fr, fi = fr * dr - fi * zi, fr * zi + fi * dr
+
+    def sums(j):
+        tr, ti, scale = scaled[j]
+        return ExactScalar(Fraction(tr, scale), Fraction(ti, scale))
+    return sums
 
 
 def _outcome(fn, *args, **kwargs):
-    """Every field of the result, or the index at which it overflowed."""
+    """Terms used, verdict and stop reason, or the index at which it overflowed."""
     try:
         res = fn(*args, **kwargs)
     except EvaluationOverflowError as exc:
         return ("overflow", exc.index)
-    return _fields(res) if hasattr(res, "reason") else res
+    if hasattr(res, "reason"):
+        return res.terms_used, res.converged, res.reason
+    return res[1], res[4], res[5]
 
 
 def _identity_series():
@@ -318,23 +360,64 @@ def _identity_series():
     return order_half, gauss, floats
 
 
-def test_evaluate_bit_identical_to_object_loop():
+# a window decision of the old loop this close to its threshold may go
+# either way in the kernel, which decides on other roundings of the same terms
+WINDOW_MARGIN = 1e-6
+
+
+def test_evaluate_encloses_the_exact_sum():
+    from fallfact.exact import lift
     rng = random.Random(2024)
     points = [complex(1024.0 ** (k / 7) * math.cos(a), 1024.0 ** (k / 7) * math.sin(a))
               for k, a in ((k, rng.uniform(0, 2 * math.pi)) for k in range(8))]
     points += [7 + 0j, 7.0, 12, 2.25]
     settings = [dict(eps=eps, window=w) for eps in (1e-12, 1e-30) for w in (1, 7)]
     settings.append(dict(eps=1e-12, n_max=40))
-    compared = 0
-    for s in _identity_series():
-        for bits in (128, 256):  # the same series object: memo keyed by precision
-            for z in points:
+    compared = near = 0
+    inexact = [False] * 3  # some value differs from its exact sum
+    for k, s in enumerate(_identity_series()):
+        for z in points:
+            sums = _exact_partial_sums(s, z)
+            for bits in (128, 256):  # the same series object: memo keyed by precision
                 for kw in settings:
-                    want = _outcome(_reference_evaluate, s, z, precision_bits=bits, **kw)
-                    got = _outcome(evaluate, s, z, precision_bits=bits, **kw)
-                    assert got == want, (s.origin, bits, z, kw)
+                    res = evaluate(s, z, precision_bits=bits, **kw)
+                    diff = lift(res.value) - sums(res.terms_used)
+                    assert diff.abs_squared() <= Fraction(res.rounding_radius) ** 2, \
+                        (s.origin, bits, z, kw, res)
+                    inexact[k] = inexact[k] or not diff.is_zero()
+                    margins = []
+                    want = _reference_evaluate(s, z, precision_bits=bits, margins=margins,
+                                               **kw)
+                    if min(margins, default=1) < WINDOW_MARGIN:
+                        near += 1
+                    else:
+                        got = (res.terms_used, res.converged, res.reason)
+                        assert got == want[1:2] + want[4:], (s.origin, bits, z, kw)
                     compared += 1
     assert compared == 3 * 2 * len(points) * len(settings)
+    assert near <= compared // 20
+    # newton_series of floats stores binary64 values, which cast exactly: the
+    # radius there holds nothing but the counted roundings, and they show
+    assert inexact[2]
+
+
+def test_rounding_radius_covers_rescales_that_add_up():
+    # real z above every z - n: each rescale of z^(n_) floors it down, so the
+    # relative errors grow in step and all terms err the same way.  Dyadic
+    # a_n ~ 1/|z^(n_)| cast exactly and keep every term near 1, which makes
+    # the rescales' share of the radius matter (without it, 1000 terms at
+    # 53 bits miss the exact sum)
+    from fallfact.exact import lift
+    for z in (1e6 + 0.3, 12345.678):
+        logs = [0.0]
+        for k in range(999):
+            logs.append(logs[-1] + math.log2(z - k))
+        s = exact_series([Fraction(1, 2 ** round(v)) for v in logs])
+        sums = _exact_partial_sums(s, z)
+        res = evaluate(s, z, precision_bits=53)
+        assert (res.reason, res.terms_used) == ("exhausted", 1000)
+        diff = lift(res.value) - sums(1000)
+        assert diff.abs_squared() <= Fraction(res.rounding_radius) ** 2, z
 
 
 def test_evaluate_overflow_at_the_same_index():
@@ -354,6 +437,7 @@ def test_evaluate_overflow_at_the_same_index():
     with pytest.raises(EvaluationOverflowError) as exc:
         evaluate(exact_series(cases[2]), 0.5)
     assert exc.value.index == 2
+    assert evaluate(exact_series(cases[0]), 0.5).reason == "exhausted"
 
 
 def test_evaluate_exact_integer_points_match_fraction_sum():
@@ -402,30 +486,17 @@ def test_evaluate_casts_each_coefficient_once_per_precision(monkeypatch):
     assert series_to_json(s) == series_to_json(fresh)
 
 
-def test_window_test_decided_like_the_objects_near_its_threshold():
-    # terms within a few binades of eps * max(1, |partial|), where the
-    # exponent bounds must either be right or leave the test to the magnitudes
-    from fallfact.series import _below_window, _top_exponent
-    rng = random.Random(77)
-    for bits in (128, 256):
-        ctx = make_context(bits)
-        prec, rnd = ctx._prec_rounding
-        for eps in (1e-12, 1e-30, 0.75, 3.0):
-            eps_mp = ctx.mpf(eps)
-            eps_top = eps_mp._mpf_[2] + eps_mp._mpf_[3]
-            for _ in range(400):
-                size = ctx.mpf(2) ** rng.randint(-6, 6) * rng.uniform(0.5, 2)
-                partial = ctx.mpc(*[size * rng.uniform(-1, 1) for _ in range(2)])
-                target = eps_mp * max(ctx.mpf(1), abs(partial))
-                scale = target * ctx.mpf(2) ** rng.randint(-4, 3) * rng.uniform(0.5, 2)
-                parts = [scale * rng.uniform(-1, 1), scale * rng.uniform(-1, 1)]
-                if rng.random() < 0.2:
-                    parts[rng.randrange(2)] = ctx.mpf(0)
-                term = ctx.mpc(*parts)
-                want = abs(term) < eps_mp * max(ctx.mpf(1), abs(partial))
-                got = _below_window(term._mpc_, _top_exponent(term._mpc_), partial._mpc_,
-                                    eps_mp._mpf_, eps_top, prec, rnd)
-                assert got == want, (bits, eps, term, partial)
+def test_window_rule_is_exact_at_its_threshold():
+    # 1 + 2^-40 z^(6_) at z = 1/2: the term at n = 6 = ceil|z| + 5 is
+    # -945 2^-46 and the partial sum lies in (0, 1), so the window rule
+    # compares |term| with eps itself, which must exceed it strictly
+    s = exact_series([1, 0, 0, 0, 0, 0, Fraction(1, 2 ** 40)])
+    at = 945 * 2.0 ** -46
+    for eps, reason in ((math.nextafter(at, 0), "exhausted"), (at, "exhausted"),
+                        (math.nextafter(at, 1), "window")):
+        for bits in (53, 128):
+            res = evaluate(s, 0.5, eps, window=1, precision_bits=bits)
+            assert (res.reason, res.terms_used) == (reason, 7), (eps, bits)
 
 
 def test_threads_share_the_cast_memo_safely():
@@ -433,7 +504,7 @@ def test_threads_share_the_cast_memo_safely():
     # interval; a racing store may repeat a cast but never keep a wrong one
     import sys
     import threading
-    from fallfact.exact import to_mpc
+    from fallfact.exact import lift, to_mpc
     s, fresh = geometric_series(120), geometric_series(120)
     points = [complex(300 / (k + 1) * math.cos(k), 300 / (k + 1) * math.sin(k))
               for k in range(12)]
@@ -468,4 +539,59 @@ def test_threads_share_the_cast_memo_safely():
     for bits in (128, 256):
         ctx = make_context(bits)
         cast = s._memo[bits]
-        assert cast == tuple(to_mpc(a, ctx)._mpc_ for a in s.coeffs[:len(cast)])
+        assert len(cast) >= 100
+        for a, (re, im, exp, rounded) in zip(s.coeffs, cast):
+            value = lift(to_mpc(a, ctx))
+            assert ExactScalar(Fraction(re) * Fraction(2) ** exp,
+                               Fraction(im) * Fraction(2) ** exp) == value
+            assert rounded == (value != a)
+
+
+def test_one_context_per_precision_under_concurrent_first_use(monkeypatch):
+    # threads meet an empty cache at once; each may build a context, but all
+    # results come back in the one that was stored, at the right precision
+    import sys
+    import threading
+    import time
+    import fallfact.series as series_mod
+    s = geometric_series(60)
+    want = complex(evaluate(geometric_series(60), 2.25, precision_bits=192).value)
+    monkeypatch.setattr(series_mod, "_CONTEXTS", {})
+    built = []
+
+    def slow_make_context(bits):
+        built.append(bits)
+        time.sleep(0.01)  # widen the window in which others miss the cache
+        return make_context(bits)
+
+    monkeypatch.setattr(series_mod, "make_context", slow_make_context)
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append(evaluate(s, 2.25, precision_bits=192))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors and len(results) == 6
+    assert built and set(built) == {192}
+    (shared,) = series_mod._CONTEXTS.values()
+    assert shared.prec == 192
+    for res in results:
+        assert res.value.context is shared
+        assert complex(res.value) == want
+    # later calls reuse it and build nothing
+    count = len(built)
+    assert evaluate(s, complex(1, 3), precision_bits=192).value.context is shared
+    assert len(built) == count
