@@ -55,16 +55,19 @@ class ExactScalar:
     @staticmethod
     def parse(text: str) -> "ExactScalar":
         """Parse "p/q" or "re+im i" (spaces optional, i or I)."""
-        m = _IMAG_ONLY.match(text)
-        if m:
-            mag = _fraction(m.group(2)) if m.group(2) else Fraction(1)
-            return ExactScalar(Fraction(0), -mag if m.group(1) == "-" else mag)
-        m = _SPLIT.match(text)
-        if m:
-            mag = _fraction(m.group("im")) if m.group("im") else Fraction(1)
-            if m.group("sign") == "-":
-                mag = -mag
-            return ExactScalar(_fraction(m.group("re")), mag)
+        # both patterns end in i or I; real strings skip them, so a long
+        # numerator is not backtracked through digit by digit
+        if "i" in text or "I" in text:
+            m = _IMAG_ONLY.match(text)
+            if m:
+                mag = _fraction(m.group(2)) if m.group(2) else Fraction(1)
+                return ExactScalar(Fraction(0), -mag if m.group(1) == "-" else mag)
+            m = _SPLIT.match(text)
+            if m:
+                mag = _fraction(m.group("im")) if m.group("im") else Fraction(1)
+                if m.group("sign") == "-":
+                    mag = -mag
+                return ExactScalar(_fraction(m.group("re")), mag)
         try:
             return ExactScalar(_fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
@@ -237,9 +240,17 @@ def from_numerators(re: int, im: int, den: int) -> ExactScalar:
 def to_mpc(x, ctx):
     """Convert an exact or numeric scalar to ctx.mpc at the context's precision."""
     if isinstance(x, ExactScalar):
-        re = ctx.mpf(x.re.numerator) / ctx.mpf(x.re.denominator)
-        im = ctx.mpf(x.im.numerator) / ctx.mpf(x.im.denominator)
-        return ctx.mpc(re, im)
+        return ctx.mpc(_to_mpf(x.re, ctx), _to_mpf(x.im, ctx))
     if isinstance(x, Fraction):
-        return ctx.mpc(ctx.mpf(x.numerator) / ctx.mpf(x.denominator))
+        return ctx.mpc(_to_mpf(x, ctx))
     return ctx.mpc(x)
+
+
+def _to_mpf(q: Fraction, ctx):
+    """ctx.mpf(numerator) / ctx.mpf(denominator), bit for bit."""
+    den = q.denominator
+    if den & (den - 1) == 0:
+        # a power of two: dividing by it is an exact shift, and skips
+        # normalising den, which strips its zeros a few bits at a time
+        return ctx.ldexp(ctx.mpf(q.numerator), 1 - den.bit_length())
+    return ctx.mpf(q.numerator) / ctx.mpf(den)

@@ -23,13 +23,14 @@ binary exponent, z^(n_) and the partial sum as Gaussian integers carried
 GUARD bits beyond the requested precision, and every truncation counted
 into a rigorous rounding radius.  mpmath is used to cast the point and the
 coefficients and to wrap the result, in one shared context per precision;
-callers must not change that context's prec.  What repeated calls share
-lives on the series: a private memo of values derived from the
-coefficients alone, chiefly the exact image, the coefficients' fixed-point
-mantissas (one prefix per precision) and their integer numerators for
-exact sums at integer points.  Those are immutable plain integers, so
-evaluation stays re-entrant; each coefficient is cast at most once per
-precision.
+callers must not change that context's prec.  mpmath is imported inside
+the functions that need it, so code that evaluates nothing never loads it.
+What repeated calls share lives on the series: a private memo of values
+derived from the coefficients alone, chiefly the exact image, the
+coefficients' fixed-point mantissas (one prefix per precision) and their
+integer numerators for exact sums at integer points.  Those are immutable
+plain integers, so evaluation stays re-entrant; each coefficient is cast at
+most once per precision.
 """
 
 from __future__ import annotations
@@ -38,16 +39,16 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
-
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import finf, from_man_exp, mpc_abs
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .basis import StirlingTable, apply_table, default_table
 from .errors import EvaluationOverflowError
 from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
                     integer_numerators, lift, magnitude, to_mpc)
 from .polynomial import Polynomial
+
+if TYPE_CHECKING:
+    from mpmath.ctx_mp import MPContext
 
 EXACT = "exact"
 APPROX = "approx"
@@ -71,6 +72,7 @@ def make_context(precision_bits: int = DEFAULT_PRECISION_BITS) -> MPContext:
     """A fresh mpmath context; precision below 53 bits is rejected."""
     if precision_bits < 53:
         raise ValueError(f"precision_bits must be >= 53, got {precision_bits}")
+    from mpmath.ctx_mp import MPContext
     ctx = MPContext()
     ctx.prec = precision_bits
     return ctx
@@ -377,6 +379,7 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
 
     re, im, exp, units, recent, terms_used, by_window = _fixed_point_sum(
         series, ctx, point, limit, min_index, eps, window)
+    from mpmath.libmp import from_man_exp
     value = ctx.make_mpc((from_man_exp(re, exp, precision_bits, "n"),
                           from_man_exp(im, exp, precision_bits, "n")))
     scale = Fraction(2) ** exp
@@ -384,15 +387,17 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     err = ExactScalar(re * scale, im * scale) - lift(value)
     radius = _float_up(units * scale + abs(err.re) + abs(err.im))
 
+    # |term| of the final window for the tail bound, else of the last term alone
+    mags = _term_abs(recent if by_window else list(recent)[-1:], ctx)
     if by_window:
         converged, reason = True, "window"
-        tail = _geometric_tail([_term_abs(t, ctx) for t in recent], window)
+        tail = _geometric_tail(mags, window)
     elif capped:
         # the cap cut the sum short of its natural end, integer point or not
         converged, reason, tail = False, "n_max", math.inf
     else:
         converged, tail = True, 0.0  # an integer point's or the stored object's full sum
-    last = float(_term_abs(recent[-1], ctx)) if terms_used else 0.0
+    last = float(mags[-1]) if mags else 0.0
     return EvaluationResult(value, terms_used, last, tail, converged, reason, radius)
 
 
@@ -429,7 +434,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     positive = not sign and man  # and finite
     eps_exact = lift(eps).re if positive else None
     eps_top = exp + bc           # eps in [2^(eps_top-1), 2^eps_top)
-    every_small = eps._mpf_ == finf
+    every_small = eps._mpf_ == ctx.inf._mpf_
     overflow_top = _OVERFLOW_TOP
     fr, fi, ef = 1, 0, 0  # carried z^(n_) = (fr + fi i) 2^ef
     dr = zr               # re(z - n) at exponent ez
@@ -471,7 +476,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
         if b:
             top = b + et  # |term| in [2^(top-1), 2^(top+1/2))
             if top + 2 > overflow_top and \
-                    _term_abs((tr, ti, et), ctx) > ctx.mpf(10) ** OVERFLOW_EXPONENT:
+                    _term_abs([(tr, ti, et)], ctx)[0] > ctx.mpf(10) ** OVERFLOW_EXPONENT:
                 raise EvaluationOverflowError(n)
             if es is None:
                 es = top - width
@@ -535,12 +540,13 @@ def _below(tr: int, ti: int, et: int, pr: int, pi: int, es: int, eps: Fraction) 
     return t_squared < eps * eps * max(1, p_squared)
 
 
-def _term_abs(term: tuple, ctx: MPContext):
-    """|term| as a ctx.mpf, for a term (re, im, exp) rounded to ctx's precision."""
-    tr, ti, et = term
+def _term_abs(terms: Iterable[tuple], ctx: MPContext) -> list:
+    """|term| as a ctx.mpf for each term (re, im, exp), rounded to ctx's precision."""
+    from mpmath.libmp import from_man_exp, mpc_abs
     prec = ctx.prec
-    raw = (from_man_exp(tr, et, prec, "n"), from_man_exp(ti, et, prec, "n"))
-    return ctx.make_mpf(mpc_abs(raw, prec, "n"))
+    return [ctx.make_mpf(mpc_abs((from_man_exp(tr, et, prec, "n"),
+                                  from_man_exp(ti, et, prec, "n")), prec, "n"))
+            for tr, ti, et in terms]
 
 
 def _float_up(q: Fraction) -> float:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -398,3 +402,47 @@ def test_argparse_errors_exit_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["interp", "--values", "1", "--samples", "x.json"])
     assert exc.value.code == 3
+
+
+# ---------------------------------------------------------------------------
+# start-up: mpmath loads on first numeric use
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs `python -m fallfact.cli ARGS...` and reports on stderr, at exit,
+# whether mpmath was ever imported
+_CLI_REPORTING_MPMATH = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('mpmath loaded:', 'mpmath' in sys.modules,"
+    " file=sys.stderr))\n"
+    "runpy.run_module('fallfact.cli', run_name='__main__', alter_sys=True)\n")
+
+
+def _fresh_python(cwd, *args) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _cli_loads_mpmath(cwd, *argv) -> bool:
+    proc = _fresh_python(cwd, "-c", _CLI_REPORTING_MPMATH, *argv)
+    assert proc.returncode == 0, proc.stderr
+    report = proc.stderr.strip().splitlines()[-1]
+    assert report in ("mpmath loaded: True", "mpmath loaded: False"), proc.stderr
+    return report.endswith("True")
+
+
+def test_import_and_exact_commands_leave_mpmath_unloaded(tmp_path):
+    proc = _fresh_python(tmp_path, "-c",
+                         "import sys, fallfact\nprint('mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert not _cli_loads_mpmath(tmp_path, "seed-examples", "--dir", "eqs")
+    assert not _cli_loads_mpmath(tmp_path, "solve", "--equation", "eqs/order-half.json",
+                                 "--free", "0=1", "--free", "1=-1/2", "--n-terms", "40",
+                                 "--out", "sol.json")
+    assert not _cli_loads_mpmath(tmp_path, "polygon", "--equation", "eqs/order-half.json")
+    # evaluation is numeric: it loads mpmath, and the report sees that
+    assert _cli_loads_mpmath(tmp_path, "eval", "--series", "sol.json", "--at", "2.25")

@@ -93,6 +93,25 @@ def test_to_mpc_exact_precision():
     assert to_mpc(complex(1, 2), ctx) == ctx.mpc(1, 2)
 
 
+def test_to_mpc_rounds_as_the_quotient_of_its_casts():
+    # a power-of-two denominator is cast by a shift; every cast must keep
+    # the bits of ctx.mpf(numerator) / ctx.mpf(denominator)
+    nums = [0, 1, -1, 3, -7, 2 ** 53 + 1, -(2 ** 127 + 3), 3 ** 200, 10 ** 400 + 7]
+    dens = [1, 2, 4, 2 ** 52, 2 ** 53, 2 ** 64, 2 ** 1000, 2 ** 20000,
+            3, 10, 3 ** 40, 3 * 2 ** 70, 10 ** 300 + 1]
+    for bits in (53, 128, 256):
+        ctx = make_context(bits)
+        for num in nums:
+            for den in dens:
+                q = Fraction(num, den)
+                want = (ctx.mpf(q.numerator) / ctx.mpf(q.denominator))._mpf_
+                assert to_mpc(q, ctx)._mpc_[0] == want, (num, den, bits)
+                im = Fraction(-den, 2 * num + 1)
+                want_im = (ctx.mpf(im.numerator) / ctx.mpf(im.denominator))._mpf_
+                assert to_mpc(ExactScalar(q, im), ctx)._mpc_ == (want, want_im), \
+                    (num, den, bits)
+
+
 def test_abs_squared_exact():
     x = as_exact("3/5+4/5i")
     assert x.abs_squared() == Fraction(1)

@@ -43,6 +43,40 @@ def _sympy(c: ExactScalar):
 
 
 # ---------------------------------------------------------------------------
+# parsing: exact scalars read back from their strings
+# ---------------------------------------------------------------------------
+
+def _long_rational(q: int, k: int, flip: bool, negative: bool) -> Fraction:
+    # k q + 1 is prime to q, so the reduced parts keep at least q's digits
+    p = k * q + 1
+    x = Fraction(q, p) if flip else Fraction(p, q)
+    return -x if negative else x
+
+
+long_rationals = st.builds(_long_rational, st.integers(10 ** 999, 10 ** 1100),
+                           st.integers(1, 10 ** 40), st.booleans(), st.booleans())
+zero_or_long = st.one_of(st.just(Fraction(0)), long_rationals)
+
+
+@PROPERTY
+@given(st.one_of(st.builds(ExactScalar, long_rationals),
+                 st.builds(ExactScalar, zero_or_long, long_rationals)))
+def test_long_scalars_read_back_from_their_strings(x):
+    for part in (x.re, x.im):
+        if part:
+            assert len(str(part.denominator)) >= 1000
+            assert len(str(abs(part.numerator))) >= 1000
+    event("real" if x.is_real() else "non-real")
+    assert as_exact(str(x)) == x
+
+
+def test_malformed_scalars_are_rejected():
+    for bad in ["1/0", "abc", "1+", "i i"]:
+        with pytest.raises(ValueError, match="not an exact scalar"):
+            as_exact(bad)
+
+
+# ---------------------------------------------------------------------------
 # Stirling tables and basis conversion
 # ---------------------------------------------------------------------------
 
