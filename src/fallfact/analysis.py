@@ -175,12 +175,11 @@ class ModulusProfile:
 
 
 def modulus_profile(evaluator: Callable, radii: Sequence[float],
-                    samples_per_circle: int = 64,
-                    include_negative_axis: bool = True) -> ModulusProfile:
+                    samples_per_circle: int = 64) -> ModulusProfile:
     """M(r) = max |Y(z)| over equally spaced angles on |z| = r.
 
-    The negative real axis is included by default: for real-coefficient
-    series of positive order that is where the modulus typically peaks.
+    The negative real axis is always included: for real-coefficient series
+    of positive order that is where the modulus typically peaks.
     A circle with any non-converged evaluation is marked invalid.
     """
     if samples_per_circle < 1:
@@ -189,8 +188,7 @@ def modulus_profile(evaluator: Callable, radii: Sequence[float],
     valid: list[bool] = []
     for r in radii:
         angles = [2.0 * math.pi * k / samples_per_circle for k in range(samples_per_circle)]
-        if include_negative_axis:
-            angles.append(math.pi)
+        angles.append(math.pi)
         best = 0.0
         ok = True
         for theta in angles:

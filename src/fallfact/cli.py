@@ -174,8 +174,7 @@ def cmd_eval(args) -> int:
     bad = None
     for z in pts:
         res = evaluate(series, z, cfg.eps, cfg.n_max,
-                       precision_bits=cfg.precision_bits,
-                       window=cfg.consecutive_small_terms)
+                       precision_bits=cfg.precision_bits)
         if not res.converged and bad is None:
             bad = z
         rows.append((z, res))

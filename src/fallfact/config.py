@@ -9,8 +9,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .errors import InputFormatError
-from .series import (DEFAULT_EPS, DEFAULT_N_MAX, DEFAULT_PRECISION_BITS,
-                     DEFAULT_WINDOW)
+from .series import DEFAULT_EPS, DEFAULT_N_MAX, DEFAULT_PRECISION_BITS
 
 ENV_PRECISION = "FALLFACT_PRECISION_BITS"
 
@@ -20,8 +19,6 @@ class RunConfig:
     precision_bits: int = DEFAULT_PRECISION_BITS
     eps: float = DEFAULT_EPS
     n_max: int = DEFAULT_N_MAX
-    window_fraction: float = 0.5
-    consecutive_small_terms: int = DEFAULT_WINDOW
 
     def __post_init__(self) -> None:
         if self.precision_bits < 53:
@@ -30,10 +27,6 @@ class RunConfig:
             raise InputFormatError("eps must be positive")
         if self.n_max < 16:
             raise InputFormatError("n_max must be >= 16")
-        if not 0 < self.window_fraction <= 1:
-            raise InputFormatError("window_fraction must lie in (0, 1]")
-        if self.consecutive_small_terms < 1:
-            raise InputFormatError("consecutive_small_terms must be >= 1")
 
 
 def from_env(environ=None) -> RunConfig:

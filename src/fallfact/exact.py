@@ -26,11 +26,9 @@ RationalLike = Union["ExactScalar", Fraction, int, str]
 
 # "p/q", optionally followed by +/- "p/q i".  No decimals are ever emitted;
 # the parser tolerates them because Fraction('2.5') is still exact.
-_IMAG_ONLY = _re.compile(r"^\s*([+-]?)\s*((?:\d+(?:\.\d+)?|\.\d+)(?:\s*/\s*\d+)?)?\s*[iI]\s*$")
-_SPLIT = _re.compile(
-    r"^\s*(?P<re>[+-]?\s*(?:\d+(?:\.\d+)?|\.\d+)(?:\s*/\s*\d+)?)\s*"
-    r"(?P<sign>[+-])\s*(?P<im>(?:\d+(?:\.\d+)?|\.\d+)(?:\s*/\s*\d+)?)?\s*[iI]\s*$"
-)
+_NUMBER = r"(?:\d+(?:\.\d+)?|\.\d+)(?:\s*/\s*\d+)?"
+_REAL_PART = _re.compile(rf"\s*([+-]?\s*{_NUMBER})\s*")
+_IMAG_PART = _re.compile(rf"\s*({_NUMBER})?\s*")
 
 
 def _fraction(text: str) -> Fraction:
@@ -55,20 +53,21 @@ class ExactScalar:
     @staticmethod
     def parse(text: str) -> "ExactScalar":
         """Parse "p/q" or "re+im i" (spaces optional, i or I)."""
-        # both patterns end in i or I; real strings skip them, so a long
-        # numerator is not backtracked through digit by digit
-        if "i" in text or "I" in text:
-            m = _IMAG_ONLY.match(text)
-            if m:
-                mag = _fraction(m.group(2)) if m.group(2) else Fraction(1)
-                return ExactScalar(Fraction(0), -mag if m.group(1) == "-" else mag)
-            m = _SPLIT.match(text)
-            if m:
-                mag = _fraction(m.group("im")) if m.group("im") else Fraction(1)
-                if m.group("sign") == "-":
-                    mag = -mag
-                return ExactScalar(_fraction(m.group("re")), mag)
+        body = text.rstrip()
         try:
+            if body.endswith(("i", "I")):
+                # no number holds a sign, so the last sign (if any) ends the
+                # real part; each part is matched once, in linear time
+                body = body[:-1]
+                k = max(body.rfind("+"), body.rfind("-"))
+                head = body[:max(k, 0)]
+                real = _REAL_PART.fullmatch(head) if head.strip() else None
+                imag = _IMAG_PART.fullmatch(body[k + 1:])
+                if imag and (real or not head.strip()):
+                    mag = _fraction(imag.group(1)) if imag.group(1) else Fraction(1)
+                    if k >= 0 and body[k] == "-":
+                        mag = -mag
+                    return ExactScalar(_fraction(real.group(1)) if real else Fraction(0), mag)
             return ExactScalar(_fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an exact scalar: {text!r}") from exc

@@ -6,7 +6,11 @@ exactly.  When the input is a truncation of an infinite series, each
 operation's docstring states through which index the output coefficients
 remain faithful to the underlying series (delta: N-1, shift by m: N-m,
 mul_by_z: N+1, and so on); beyond that the entries are still the exact
-transform of the stored polynomial.
+transform of the stored polynomial.  delta, mul_by_z, shift (as
+(1 + delta)^m) and mul_by_poly (as p(z)) are each one application of
+_SeqOperator, the operator calculus the solver also derives its recurrences
+in, so how delta and z act on coefficients is decided in that one class; an
+application sums integer numerators over one common denominator.
 
 The regime says how the coefficients are stored: "exact" series hold
 Gaussian rationals, "approx" series hold binary64 values (Python floats or
@@ -14,9 +18,9 @@ complex, as newton_series and the JSON reader give them).  Binary floats are
 rationals, so every computation runs on the coefficients' exact image: the
 coefficients themselves for an exact series, their lossless lift
 (exact.lift) for an approx one.  Operators and Taylor conversions therefore
-return exact series, also for approx input.  precision_bits is the
-precision evaluations cast to by default, not a property of the stored
-data.
+return exact series, also for approx input.  precision_bits (at least 53,
+in every regime) is the precision evaluations cast to by default, not a
+property of the stored data.
 
 Evaluation sums in fixed point: z exactly as a Gaussian integer at one
 binary exponent, z^(n_) and the partial sum as Gaussian integers carried
@@ -45,7 +49,7 @@ from .basis import StirlingTable, apply_table, default_table
 from .errors import EvaluationOverflowError
 from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
                     integer_numerators, lift, magnitude, to_mpc)
-from .polynomial import Polynomial
+from .polynomial import Polynomial, poly
 
 if TYPE_CHECKING:
     from mpmath.ctx_mp import MPContext
@@ -109,11 +113,11 @@ class BinomialSeries:
     def __post_init__(self) -> None:
         if self.regime not in (EXACT, APPROX):
             raise ValueError(f"unknown regime {self.regime!r}")
+        if self.precision_bits < 53:
+            raise ValueError(f"precision_bits must be >= 53, got {self.precision_bits}")
         if self.regime == EXACT:
             object.__setattr__(self, "coeffs", tuple(as_exact(c) for c in self.coeffs))
         else:
-            if self.precision_bits < 53:
-                raise ValueError("precision_bits must be >= 53")
             object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @property
@@ -188,13 +192,108 @@ def approx_series(coeffs: Iterable, precision_bits: int = DEFAULT_PRECISION_BITS
 # linear operators
 # ---------------------------------------------------------------------------
 
+class _SeqOperator:
+    """sum_s r_s(n) sigma^s acting on sequences, (sigma^s a)_n = a_{n+s}.
+
+    delta_op and z_multiplication are the only action rules; all else composes.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[int, Polynomial]):
+        self.terms = {s: r for s, r in terms.items() if not r.is_zero()}
+
+    @staticmethod
+    def identity() -> "_SeqOperator":
+        return _SeqOperator({0: poly(1)})
+
+    @staticmethod
+    def z_multiplication() -> "_SeqOperator":
+        # (zY)_n = n a_n + a_{n-1}
+        return _SeqOperator({0: poly(0, 1), -1: poly(1)})
+
+    @staticmethod
+    def delta_op() -> "_SeqOperator":
+        # (delta Y)_n = (n+1) a_{n+1}
+        return _SeqOperator({1: poly(1, 1)})
+
+    def compose(self, other: "_SeqOperator") -> "_SeqOperator":
+        """self after other: coefficient polynomials shift their argument."""
+        out: dict[int, Polynomial] = {}
+        for s, r in self.terms.items():
+            for u, t in other.terms.items():
+                contrib = r * t.shift_argument(s)
+                key = s + u
+                out[key] = out.get(key, Polynomial()) + contrib
+        return _SeqOperator(out)
+
+    def __add__(self, other: "_SeqOperator") -> "_SeqOperator":
+        out = dict(self.terms)
+        for s, r in other.terms.items():
+            out[s] = out.get(s, Polynomial()) + r
+        return _SeqOperator(out)
+
+    def scaled(self, c: ExactScalar) -> "_SeqOperator":
+        return _SeqOperator({s: r * c for s, r in self.terms.items()})
+
+    def polynomial(self, coeffs: Sequence) -> "_SeqOperator":
+        """sum_k coeffs[k] self^k."""
+        total, power = _SeqOperator({}), _SeqOperator.identity()
+        for k, c in enumerate(coeffs):
+            if k:
+                power = power.compose(self)
+            total = total + power.scaled(c)
+        return total
+
+    def apply(self, series: BinomialSeries, width: int) -> BinomialSeries:
+        """Entries 0..width-1 of this operator on the series' exact image.
+
+        a_k = 0 outside 0..N.  The r_s and the coefficients are taken to
+        integer numerators over one denominator each, and every entry is
+        summed in integers and reduced once.
+        """
+        shifts = list(self.terms)
+        polys, den = _integer_polynomials([self.terms[s] for s in shifts])
+        nums, a_den = integer_numerators(series._exact_coeffs)
+        den *= a_den
+        out = []
+        for n in range(width):
+            re = im = 0
+            for s, r in zip(shifts, polys):
+                if 0 <= n + s < len(nums):
+                    a_re, a_im = nums[n + s]
+                    r_re, r_im = _horner(r, n)
+                    re += r_re * a_re - r_im * a_im
+                    im += r_re * a_im + r_im * a_re
+            out.append(from_numerators(re, im, den))
+        return series.with_coeffs(out)
+
+
+def _integer_polynomials(polys: Sequence[Polynomial]) -> tuple[list, int]:
+    """The (re, im) integer coefficients of polys over their common denominator."""
+    nums, den = integer_numerators([c for p in polys for c in p.coeffs])
+    out, start = [], 0
+    for p in polys:
+        out.append(nums[start:start + len(p.coeffs)])
+        start += len(p.coeffs)
+    return out, den
+
+
+def _horner(coeffs: Sequence[tuple[int, int]], m: int) -> tuple[int, int]:
+    """A Gaussian-integer polynomial at the integer m, as (re, im)."""
+    re = im = 0
+    for c_re, c_im in reversed(coeffs):
+        re = re * m + c_re
+        im = im * m + c_im
+    return re, im
+
+
 def delta(series: BinomialSeries) -> BinomialSeries:
     """Forward difference: (delta Y)_n = (n+1) a_{n+1}.
 
     Faithful through index N-1 when the input truncates an infinite series.
     """
-    a = series._exact_coeffs
-    return series.with_coeffs((n + 1) * a[n + 1] for n in range(len(a) - 1))
+    return _SeqOperator.delta_op().apply(series, len(series.coeffs) - 1)
 
 
 def mul_by_z(series: BinomialSeries) -> BinomialSeries:
@@ -203,14 +302,8 @@ def mul_by_z(series: BinomialSeries) -> BinomialSeries:
     Output has one more coefficient than the input and is faithful through
     index N+1 for truncations (the missing a_{N+1} never enters c_{N+1}).
     """
-    a = series._exact_coeffs
-    if not a:
-        return series.with_coeffs(())
-    out = [ZERO]
-    for n in range(1, len(a)):
-        out.append(n * a[n] + a[n - 1])
-    out.append(a[-1])
-    return series.with_coeffs(out)
+    width = len(series.coeffs) + 1 if series.coeffs else 0
+    return _SeqOperator.z_multiplication().apply(series, width)
 
 
 def shift(series: BinomialSeries, m: int) -> BinomialSeries:
@@ -221,19 +314,11 @@ def shift(series: BinomialSeries, m: int) -> BinomialSeries:
     """
     if m < 0:
         raise ValueError("shift step must be a nonnegative integer")
-    a = series._exact_coeffs
-    if not a or m == 0:
-        return series.with_coeffs(a)
-    out = [ZERO] * len(a)
-    cur = a
-    for j in range(m + 1):
-        c = math.comb(m, j)
-        for n, v in enumerate(cur):
-            out[n] = out[n] + c * v
-        cur = [(n + 1) * cur[n + 1] for n in range(len(cur) - 1)]
-        if not cur:
-            break
-    return series.with_coeffs(out)
+    # (1 + delta)^m, binomially expanded; delta^j reads no stored
+    # coefficient once j > N, so those powers are left out
+    top = min(m, len(series.coeffs) - 1)
+    op = _SeqOperator.delta_op().polynomial([math.comb(m, j) for j in range(top + 1)])
+    return op.apply(series, len(series.coeffs))
 
 
 def linear_combine(pairs: Sequence[tuple]) -> BinomialSeries:
@@ -254,20 +339,11 @@ def linear_combine(pairs: Sequence[tuple]) -> BinomialSeries:
 
 
 def mul_by_poly(series: BinomialSeries, p: Polynomial) -> BinomialSeries:
-    """p(z) * Y via iterated mul_by_z, zero-extended to length N + deg p + 1."""
+    """p(z) * Y, zero-extended to length N + deg p + 1."""
     if p.is_zero() or not series.coeffs:
         return series.with_coeffs(())
-    width = len(series.coeffs) + len(p.coeffs) - 1
-    out = [ZERO] * width
-    power = series
-    for k, c in enumerate(p.coeffs):
-        if k:
-            power = mul_by_z(power)
-        if c.is_zero():
-            continue
-        for n, v in enumerate(power._exact_coeffs):
-            out[n] = out[n] + c * v
-    return series.with_coeffs(out)
+    op = _SeqOperator.z_multiplication().polynomial(p.coeffs)
+    return op.apply(series, len(series.coeffs) + len(p.coeffs) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ Equations come in two equivalent forms:
   shift form:   sum_j b_j(z) y(z+j) = 0
 
 Substituting Y(z) = sum a_n z^(n_) turns the delta form into an exact linear
-recurrence for the coefficients.  The derivation works in a small operator
-calculus: the action of z-multiplication and of delta on the coefficient
-sequence are both of the shape sum_s r_s(n) a_{n+s} (with a_k = 0 for k < 0),
-and such operators compose exactly.  Collecting the image's coefficient of
-z^(n_) yields polynomials q_i(n) plus a finite block of low-index equations.
+recurrence for the coefficients.  The derivation works in the operator
+calculus of series._SeqOperator, which the series operators apply too: the
+action of z-multiplication and of delta on the coefficient sequence are both
+of the shape sum_s r_s(n) a_{n+s} (with a_k = 0 for k < 0), and such
+operators compose exactly.  Collecting the image's coefficient of z^(n_)
+yields polynomials q_i(n) plus a finite block of low-index equations.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from .errors import (DeterminacyError, InputFormatError, PoleError,
                      SingularRecurrenceError)
 from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
                     integer_numerators, to_mpc)
-from .polynomial import Polynomial, poly
+from .polynomial import Polynomial
 # make_context is not called here; it stays importable because perfbench's
 # tracer patches it on this module
 from .series import (BinomialSeries, DEFAULT_EPS, DEFAULT_N_MAX,  # noqa: F401
-                     DEFAULT_PRECISION_BITS, _context, evaluate, exact_series,
-                     make_context)
+                     DEFAULT_PRECISION_BITS, _context, _horner, _integer_polynomials,
+                     _SeqOperator, evaluate, exact_series, make_context)
 
 DELTA_FORM = "delta"
 SHIFT_FORM = "shift"
@@ -65,78 +66,30 @@ class LinearDifferenceEquation:
 
 def to_shift_form(eq: LinearDifferenceEquation) -> LinearDifferenceEquation:
     """Rewrite via delta^j = sum_i C(j,i) (-1)^(j-i) E^i; exact and invertible."""
-    if eq.form == SHIFT_FORM:
-        return eq
-    p = eq.order
-    out = [Polynomial() for _ in range(p + 1)]
-    for j, pj in enumerate(eq.coeffs):
-        if pj.is_zero():
-            continue
-        for i in range(j + 1):
-            sign = -1 if (j - i) % 2 else 1
-            out[i] = out[i] + pj * as_exact(sign * math.comb(j, i))
-    return LinearDifferenceEquation(SHIFT_FORM, tuple(out))
+    return eq if eq.form == SHIFT_FORM else _binomial_transform(eq, SHIFT_FORM, -1)
 
 
 def to_delta_form(eq: LinearDifferenceEquation) -> LinearDifferenceEquation:
     """Rewrite via E^i = sum_j C(i,j) delta^j; exact inverse of to_shift_form."""
-    if eq.form == DELTA_FORM:
-        return eq
-    p = eq.order
-    out = [Polynomial() for _ in range(p + 1)]
-    for i, bi in enumerate(eq.coeffs):
-        if bi.is_zero():
+    return eq if eq.form == DELTA_FORM else _binomial_transform(eq, DELTA_FORM, 1)
+
+
+def _binomial_transform(eq: LinearDifferenceEquation, form: str,
+                        sign: int) -> LinearDifferenceEquation:
+    """The equation in the other form: coefficient j moves to every i <= j
+    with weight C(j,i) sign^(j-i), as E = 1 + delta and delta = E - 1."""
+    out = [Polynomial() for _ in range(eq.order + 1)]
+    for j, pj in enumerate(eq.coeffs):
+        if pj.is_zero():
             continue
-        for j in range(i + 1):
-            out[j] = out[j] + bi * as_exact(math.comb(i, j))
-    return LinearDifferenceEquation(DELTA_FORM, tuple(out))
+        for i in range(j + 1):
+            out[i] = out[i] + pj * as_exact(sign ** (j - i) * math.comb(j, i))
+    return LinearDifferenceEquation(form, tuple(out))
 
 
 # ---------------------------------------------------------------------------
 # coefficient-sequence operators
 # ---------------------------------------------------------------------------
-
-class _SeqOperator:
-    """sum_s r_s(n) sigma^s acting on sequences, (sigma^s a)_n = a_{n+s}."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, Polynomial]):
-        self.terms = {s: r for s, r in terms.items() if not r.is_zero()}
-
-    @staticmethod
-    def identity() -> "_SeqOperator":
-        return _SeqOperator({0: poly(1)})
-
-    @staticmethod
-    def z_multiplication() -> "_SeqOperator":
-        # (zY)_n = n a_n + a_{n-1}
-        return _SeqOperator({0: poly(0, 1), -1: poly(1)})
-
-    @staticmethod
-    def delta_op() -> "_SeqOperator":
-        # (delta Y)_n = (n+1) a_{n+1}
-        return _SeqOperator({1: poly(1, 1)})
-
-    def compose(self, other: "_SeqOperator") -> "_SeqOperator":
-        """self after other: coefficient polynomials shift their argument."""
-        out: dict[int, Polynomial] = {}
-        for s, r in self.terms.items():
-            for u, t in other.terms.items():
-                contrib = r * t.shift_argument(s)
-                key = s + u
-                out[key] = out.get(key, Polynomial()) + contrib
-        return _SeqOperator(out)
-
-    def __add__(self, other: "_SeqOperator") -> "_SeqOperator":
-        out = dict(self.terms)
-        for s, r in other.terms.items():
-            out[s] = out.get(s, Polynomial()) + r
-        return _SeqOperator(out)
-
-    def scaled(self, c: ExactScalar) -> "_SeqOperator":
-        return _SeqOperator({s: r * c for s, r in self.terms.items()})
-
 
 def _equation_operator(eq: LinearDifferenceEquation) -> _SeqOperator:
     eq = to_delta_form(eq)
@@ -281,25 +234,6 @@ def _gauss_jordan(rows: list[list[ExactScalar]],
     return r, values
 
 
-def _integer_polynomials(polys: Sequence[Polynomial]) -> list[list[tuple[int, int]]]:
-    """The (re, im) integer coefficients of polys, all scaled by one positive factor."""
-    nums, _ = integer_numerators([c for p in polys for c in p.coeffs])
-    out, start = [], 0
-    for p in polys:
-        out.append(nums[start:start + len(p.coeffs)])
-        start += len(p.coeffs)
-    return out
-
-
-def _horner(coeffs: Sequence[tuple[int, int]], m: int) -> tuple[int, int]:
-    """A Gaussian-integer polynomial at the integer m, as (re, im)."""
-    re = im = 0
-    for c_re, c_im in reversed(coeffs):
-        re = re * m + c_re
-        im = im * m + c_im
-    return re, im
-
-
 def solve_recurrence(rec: CoefficientRecurrence,
                      free_values: Mapping[int, object],
                      n_target: int) -> tuple[ExactScalar, ...]:
@@ -321,7 +255,7 @@ def solve_recurrence(rec: CoefficientRecurrence,
     a = _solve_initial_block(rec, free_values)
     d = rec.order
     m = rec.n_start
-    *q, lead = _integer_polynomials(rec.q)
+    (*q, lead), _ = _integer_polynomials(rec.q)
     window, den = integer_numerators(a[m:m + d])
     while len(a) <= n_target:
         l_re, l_im = _horner(lead, m)
@@ -455,25 +389,24 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
                       re_threshold: float | None = None,
                       n_max: int = DEFAULT_N_MAX,
                       precision_bits: int = DEFAULT_PRECISION_BITS,
-                      max_steps: int = 10000,
-                      check_classification: bool = True) -> ContinuationResult:
+                      max_steps: int = 10000) -> ContinuationResult:
     """Evaluate left of the reliable half plane by unrolling the shift form:
 
         y(z) = -(1/b_0(z)) sum_{j>=1} b_j(z) y(z+j),
 
     stepping right until Re z crosses re_threshold, then summing directly.
-    b_0 vanishing exactly at a needed point raises PoleError.
+    b_0 vanishing exactly at a needed point raises PoleError; a series that
+    classify leaves unknown raises InputFormatError.
     """
     shift_eq = to_shift_form(eq)
     p = shift_eq.order
     if p < 1:
         raise InputFormatError("continuation needs an equation of order >= 1")
-    if check_classification:
-        cls = series._memoized("classify", lambda: classify(series.coeffs))
-        if cls.kind == UNKNOWN:
-            raise InputFormatError(
-                "series not classified entire or right-half-plane; "
-                "continuation would propagate garbage")
+    cls = series._memoized("classify", lambda: classify(series.coeffs))
+    if cls.kind == UNKNOWN:
+        raise InputFormatError(
+            "series not classified entire or right-half-plane; "
+            "continuation would propagate garbage")
     if re_threshold is None:
         re_threshold = default_re_threshold(series, eps)
 

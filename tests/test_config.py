@@ -18,10 +18,6 @@ def test_validation():
         RunConfig(eps=0.0)
     with pytest.raises(InputFormatError):
         RunConfig(n_max=3)
-    with pytest.raises(InputFormatError):
-        RunConfig(window_fraction=1.5)
-    with pytest.raises(InputFormatError):
-        RunConfig(consecutive_small_terms=0)
 
 
 def test_env_override_and_precedence():

@@ -24,7 +24,8 @@ def test_parse_complex_forms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "two", "1+", "i2", "1//2", "1+2", "1+2j"]:
+    # a zero denominator in the imaginary part is malformed input too
+    for bad in ["", "two", "1+", "i2", "1//2", "1+2", "1+2j", "3/0i", "1-2/0 I"]:
         with pytest.raises(ValueError):
             as_exact(bad)
 

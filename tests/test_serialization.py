@@ -63,6 +63,20 @@ def test_exact_series_keeps_precision_bits():
     assert series_from_json(data).precision_bits == 128
 
 
+def test_precision_below_53_bits_is_rejected_in_every_regime():
+    # the constructor checks once, so no series waits for its first evaluation to fail
+    for bits in (20, 52):
+        with pytest.raises(ValueError, match="precision_bits"):
+            newton_series([1, 2, 4], precision_bits=bits)
+        with pytest.raises(ValueError, match="precision_bits"):
+            approx_series([1.0, 0.5], precision_bits=bits)
+        for regime, coeffs in (("exact", ["1"]), ("approx", [[1.0, 0.0]])):
+            with pytest.raises(InputFormatError, match="precision_bits"):
+                series_from_json({"regime": regime, "coeffs": coeffs,
+                                  "precision_bits": bits})
+    assert newton_series([1, 2, 4], precision_bits=53).precision_bits == 53
+
+
 def test_gaussian_rational_coefficients_survive():
     rng = random.Random(9)
     s = Polynomial(tuple(rand_scalar(rng) for _ in range(8)))

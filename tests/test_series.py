@@ -82,11 +82,18 @@ def test_spec_shaped_small_cases():
 
 def test_mul_by_poly_pointwise():
     rng = random.Random(8)
-    for _ in range(50):
-        s = rand_series(rng)
-        p = Polynomial(tuple(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(0, 4))))
-        x = rand_point(rng)
-        assert evaluate_exact(mul_by_poly(s, p), x) == p(x) * evaluate_exact(s, x)
+    # integer, fractional and Gaussian coefficients: the last two scale the
+    # operator's polynomials to a common denominator before the integer sums
+    draws = (lambda: Fraction(rng.randint(-9, 9)),
+             lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+             lambda: ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                                 Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
+    for draw in draws:
+        for _ in range(50):
+            s = rand_series(rng)
+            p = Polynomial(tuple(draw() for _ in range(rng.randint(0, 4))))
+            x = rand_point(rng)
+            assert evaluate_exact(mul_by_poly(s, p), x) == p(x) * evaluate_exact(s, x)
 
 
 def test_linear_combine_zero_extension_and_regimes():
