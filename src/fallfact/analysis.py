@@ -31,21 +31,79 @@ def _abs_squared_ints(a: ExactScalar) -> tuple[int, int]:
             (re.denominator * im.denominator) ** 2)
 
 
+_TOP_BITS = 96  # bits kept of each factor when bracketing |a|^2
+_WINDOW_BITS = 160  # bits kept of the bracket's ends
+
+
+def _top(f: int) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo 2^t <= f <= hi 2^t for f >= 0: lo is f's top bits,
+    and hi adds 1 to them only when bits were cut off."""
+    t = f.bit_length() - _TOP_BITS
+    if t <= 0:
+        return f, f, 0
+    lo = f >> t
+    return lo, lo + 1, t
+
+
+def _product_bounds(f: int, g: int) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo 2^t <= f g <= hi 2^t, from the top bits of f and g."""
+    f_lo, f_hi, f_t = _top(f)
+    g_lo, g_hi, g_t = _top(g)
+    return f_lo * g_lo, f_hi * g_hi, f_t + g_t
+
+
+def _scaled(v: int, k: int, up: bool) -> int:
+    """v 2^k, rounded down (or up, when up is set) to an integer."""
+    if k >= 0:
+        return v << k
+    return -((-v) >> -k) if up else v >> -k
+
+
+def _rounded_abs_squared_numerator(a: ExactScalar) -> int:
+    """An integer that rounds to the same double as X^2 + Y^2, where
+    X = p_re q_im and Y = p_im q_re: |a|^2 (q_re q_im)^2 for a = p_re/q_re +
+    (p_im/q_im) i.
+
+    X and Y are bracketed from the top bits of their factors, which gives
+    lo 2^e <= X^2 + Y^2 <= hi 2^e with lo and hi of about _WINDOW_BITS bits.
+    Rounding to nearest is monotone, so when lo and hi round to the same
+    double, so does every integer between them: that double's mantissa at
+    exponent e is returned.  Otherwise X^2 + Y^2 is formed exactly.
+    """
+    p_re, p_im = abs(a.re.numerator), abs(a.im.numerator)
+    q_re, q_im = a.re.denominator, a.im.denominator
+    x_lo, x_hi, x_t = _product_bounds(p_re, q_im)
+    y_lo, y_hi, y_t = _product_bounds(p_im, q_re)
+    # X^2 + Y^2 < 2^(2 top + 1), so lo and hi stay below 2^(_WINDOW_BITS + 1)
+    top = max(x_hi.bit_length() + x_t, y_hi.bit_length() + y_t)
+    e = max(2 * top - _WINDOW_BITS, 0)
+    lo = _scaled(x_lo * x_lo, 2 * x_t - e, False) + _scaled(y_lo * y_lo, 2 * y_t - e, False)
+    hi = _scaled(x_hi * x_hi, 2 * x_t - e, True) + _scaled(y_hi * y_hi, 2 * y_t - e, True)
+    rounded = float(lo)
+    if rounded == float(hi):
+        return int(rounded) << e
+    x, y = p_re * q_im, p_im * q_re
+    return x * x + y * y
+
+
 def log_abs(a) -> float | None:
     """ln|a| as float, None for zero; no float overflow at any size.
 
     a is lifted exactly (exact.lift) and taken apart into integers: ln|p| -
     ln q for a real p/q, and for a Gaussian rational half the log of |a|^2
-    from its unreduced integer numerator and denominator.
+    from its unreduced integer numerator and denominator.  math.log of an
+    int depends only on the int rounded to 53 significant bits, so that
+    numerator is formed exactly only where its top bits leave the rounding
+    open (_rounded_abs_squared_numerator); the float is the same.
     """
     a = lift(a)
-    if a.im:
-        num, _ = _abs_squared_ints(a)
-        return 0.5 * math.log(num) - math.log(a.re.denominator) \
-            - math.log(a.im.denominator)
-    if not a.re:
+    re, im = a.re, a.im
+    if im:
+        return 0.5 * math.log(_rounded_abs_squared_numerator(a)) \
+            - math.log(re.denominator) - math.log(im.denominator)
+    if not re:
         return None
-    return math.log(abs(a.re.numerator)) - math.log(a.re.denominator)
+    return math.log(abs(re.numerator)) - math.log(re.denominator)
 
 
 @dataclass(frozen=True)
@@ -101,7 +159,7 @@ def order_from_taylor(coeffs: Sequence, window_fraction: float = 0.5) -> ChiEsti
     the undefined flag.
     """
     est = chi_estimate(coeffs, window_fraction)
-    if est.undefined and all(log_abs(c) is None for c in coeffs[est.window[0]:]):
+    if est.undefined and all(lift(c).is_zero() for c in coeffs[est.window[0]:]):
         return ChiEstimate(0.0, est.window, est.s_trace, False)
     return est
 
@@ -138,27 +196,48 @@ def _classify_estimate(coeffs: Sequence, est: ChiEstimate,
     return Classification(UNKNOWN, est.value, est.undefined)
 
 
+# Each key 2 ln|a_n| + 2 ln n! is a few rounded logs of integers and their
+# sum, so it lies within 1e-14 (1 + bits) of the value it stands for, bits
+# being the summed bit lengths of a_n's parts and of n!.
+_KEY_TOLERANCE = 1e-12
+
+
 def _exact_peak_of_an_nfact(coeffs: Sequence) -> tuple[float | None, int | None]:
     """First argmax of |a_n| n! by exact cross-multiplied comparison.
 
     The coefficients are lifted exactly.  Returns (log of the squared peak,
-    index); float log only at the end.
+    index); float log only at the end.  A float key screens the indices
+    first: one whose key falls short of the best by more than
+    _KEY_TOLERANCE (1 + the most bits of any index) cannot be an argmax, so
+    only the others are compared exactly.
     """
-    best_num = best_den = None
-    best_idx = None
+    lifted = [lift(a) for a in coeffs]
+    keys: list[float | None] = []
     fact = 1
-    for n, a in enumerate(coeffs):
+    most_bits = 0
+    for n, a in enumerate(lifted):
         if n:
             fact *= n
-        a = lift(a)
-        if a.is_zero():
+        la = log_abs(a)
+        keys.append(None if la is None else 2.0 * la + 2.0 * math.log(fact))
+        most_bits = max(most_bits, fact.bit_length() + sum(
+            v.bit_length() for v in (a.re.numerator, a.re.denominator,
+                                     a.im.numerator, a.im.denominator)))
+    if all(key is None for key in keys):
+        return None, None
+    cutoff = max(key for key in keys if key is not None) \
+        - _KEY_TOLERANCE * (1 + most_bits)
+    best_num = best_den = best_idx = None
+    fact = 1
+    for n, (a, key) in enumerate(zip(lifted, keys)):
+        if n:
+            fact *= n
+        if key is None or key < cutoff:
             continue
         num, den = _abs_squared_ints(a)
         num *= fact * fact
         if best_num is None or num * best_den > best_num * den:
             best_num, best_den, best_idx = num, den, n
-    if best_num is None:
-        return None, None
     return math.log(best_num) - math.log(best_den), best_idx
 
 

@@ -15,7 +15,10 @@ from contextlib import contextmanager
 from typing import IO, Iterator
 
 from . import config
-from .analysis import (chi_estimate, classify, fit_order_type, modulus_profile)
+# classify stays a module attribute for callers that wrap it here (perfbench's
+# tracer does); _print_growth classifies from the chi estimate it already has
+from .analysis import (_classify_estimate, chi_estimate, classify,  # noqa: F401
+                       fit_order_type, modulus_profile)
 from .errors import (InputFormatError, MathematicalObstruction,
                      NumericalFailure)
 from .exact import as_exact
@@ -130,7 +133,7 @@ def _print_growth(series: BinomialSeries, window_fraction: float) -> None:
         print("growth: not estimated (needs >= 16 coefficients)")
         return
     est = chi_estimate(series.coeffs, window_fraction)
-    cls = classify(series.coeffs, window_fraction=window_fraction)
+    cls = _classify_estimate(series.coeffs, est, margin=0.1)  # classify's default
     chi_txt = "undefined" if est.undefined else f"{est.value:.12g}"
     print(f"chi_estimate {chi_txt}")
     print(f"chi_window {est.window[0]} {est.window[1]}")

@@ -6,11 +6,13 @@ exactly.  When the input is a truncation of an infinite series, each
 operation's docstring states through which index the output coefficients
 remain faithful to the underlying series (delta: N-1, shift by m: N-m,
 mul_by_z: N+1, and so on); beyond that the entries are still the exact
-transform of the stored polynomial.  delta, mul_by_z, shift (as
-(1 + delta)^m) and mul_by_poly (as p(z)) are each one application of
-_SeqOperator, the operator calculus the solver also derives its recurrences
-in, so how delta and z act on coefficients is decided in that one class; an
-application sums integer numerators over one common denominator.
+transform of the stored polynomial.  delta, mul_by_z and mul_by_poly (as
+p(z)) are each one application of _SeqOperator, the operator calculus the
+solver also derives its recurrences in, so how delta and z act on
+coefficients is decided in that one class; an application sums integer
+numerators over one common denominator.  shift (as (1 + delta)^m) runs
+Horner's rule with delta's rule inline instead, so that it multiplies by
+small integers only and costs O(N min(m, N)).
 
 The regime says how the coefficients are stored: "exact" series hold
 Gaussian rationals, "approx" series hold binary64 values (Python floats or
@@ -195,7 +197,9 @@ def approx_series(coeffs: Iterable, precision_bits: int = DEFAULT_PRECISION_BITS
 class _SeqOperator:
     """sum_s r_s(n) sigma^s acting on sequences, (sigma^s a)_n = a_{n+s}.
 
-    delta_op and z_multiplication are the only action rules; all else composes.
+    delta_op and z_multiplication are the only action rules; all else
+    composes.  shift alone runs delta's rule in a loop of its own, which
+    keeps its multipliers small.
     """
 
     __slots__ = ("terms",)
@@ -314,11 +318,22 @@ def shift(series: BinomialSeries, m: int) -> BinomialSeries:
     """
     if m < 0:
         raise ValueError("shift step must be a nonnegative integer")
-    # (1 + delta)^m, binomially expanded; delta^j reads no stored
-    # coefficient once j > N, so those powers are left out
-    top = min(m, len(series.coeffs) - 1)
-    op = _SeqOperator.delta_op().polynomial([math.comb(m, j) for j in range(top + 1)])
-    return op.apply(series, len(series.coeffs))
+    # (1 + delta)^m = sum_{j <= K} C(m,j) delta^j with K = min(m, N): delta^j
+    # reads no stored coefficient once j > N.  Horner's rule with the ratio
+    # C(m,j)/C(m,j-1) = (m-j+1)/j inside it multiplies by small integers
+    # only: H_K = A and H_(j-1) = (K!/(j-1)!) A + (m-j+1) delta H_j give
+    # Y(z+m) = H_0 / K!, A being the series' integer numerators.  delta acts
+    # by its rule (n+1) a_(n+1), as in _SeqOperator.delta_op
+    nums, den = integer_numerators(series._exact_coeffs)
+    top = min(m, max(len(nums) - 1, 0))
+    acc = scaled = nums
+    for j in range(top, 0, -1):
+        scaled = [(j * re, j * im) for re, im in scaled]
+        acc = [(s_re + (m - j + 1) * n * a_re, s_im + (m - j + 1) * n * a_im)
+               for n, ((s_re, s_im), (a_re, a_im)) in enumerate(zip(scaled, acc[1:]), 1)
+               ] + scaled[-1:]
+    return series.with_coeffs(from_numerators(re, im, den * math.factorial(top))
+                              for re, im in acc)
 
 
 def linear_combine(pairs: Sequence[tuple]) -> BinomialSeries:

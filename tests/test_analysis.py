@@ -2,8 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fallfact.analysis import (ENTIRE, RIGHT_HALF_PLANE, UNKNOWN, ModulusProfile,
+                               _exact_peak_of_an_nfact, _rounded_abs_squared_numerator,
                                chi_estimate, classify, fit_order_type, log_abs,
                                modulus_profile, order_from_taylor)
 from fallfact.exact import ExactScalar
@@ -33,6 +36,68 @@ def test_log_abs_kinds():
     assert log_abs(complex(0, 2)) == pytest.approx(math.log(2))
     # huge exact values must not overflow through float conversion
     assert log_abs(Fraction(10) ** 100000) == pytest.approx(100000 * math.log(10))
+
+
+def _round53(n):
+    """The positive int n rounded to 53 significant bits, ties to even, at any size."""
+    shift = max(n.bit_length() - 53, 0)
+    return round(Fraction(n, 1 << shift)) << shift
+
+
+def _exact_squares(a):
+    """X^2 + Y^2 = |a|^2 (q_re q_im)^2, formed exactly."""
+    x = a.re.numerator * a.im.denominator
+    y = a.im.numerator * a.re.denominator
+    return x * x + y * y
+
+
+def _sized(max_bits):
+    return st.integers(1, max_bits).flatmap(
+        lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+def _near_midpoint(mant, k, offset):
+    # (2 mant + 1) 2^k lies halfway between two doubles; p^2 lands within
+    # about 2p of it, where the top bits of p cannot decide the rounding
+    return math.isqrt((2 * mant + 1) << k) + offset
+
+
+signed_parts = st.builds(lambda n, d, neg: Fraction(-n if neg else n, d),
+                         _sized(20000), _sized(20000), st.booleans())
+small_parts = st.builds(Fraction, st.integers(-9, 9), _sized(30))
+gaussians = st.one_of(
+    st.builds(ExactScalar, signed_parts, signed_parts),
+    st.builds(ExactScalar, st.just(Fraction(0)), signed_parts),
+    st.builds(ExactScalar, small_parts, signed_parts),
+    st.builds(ExactScalar, signed_parts, small_parts),
+    st.builds(lambda p, re, q: ExactScalar(re, Fraction(p, q)),
+              st.builds(_near_midpoint, st.integers(1 << 52, (1 << 53) - 1),
+                        st.integers(140, 4000), st.integers(-3, 3)),
+              st.one_of(st.just(Fraction(0)), small_parts), _sized(8)),
+).filter(lambda a: a.im)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaussians)
+def test_log_abs_gaussian_equals_the_exact_squares_formula(a):
+    exact = _exact_squares(a)
+    assert _round53(_rounded_abs_squared_numerator(a)) == _round53(exact)
+    assert log_abs(a) == 0.5 * math.log(exact) - math.log(a.re.denominator) \
+        - math.log(a.im.denominator)
+
+
+def test_log_abs_falls_back_to_exact_squares_where_top_bits_straddle():
+    # p^2 sits just above the midpoint (2 mant + 1) 2^375 between two
+    # doubles; p cut to its top 96 bits squares to below it
+    p = _near_midpoint(6673978343867982, 375, 1)
+    t = p.bit_length() - 96
+    truncated = (p >> t << t) ** 2
+    assert _round53(truncated) != _round53(p * p)
+    a = ExactScalar(0, p)
+    assert _round53(_rounded_abs_squared_numerator(a)) == _round53(p * p)
+    # here the rounding reaches the last bit of ln|a|
+    assert 0.5 * math.log(_round53(truncated)) != 0.5 * math.log(p * p)
+    assert log_abs(a) == 0.5 * math.log(p * p)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +175,56 @@ def test_classify_everywhere_divergent_is_unknown():
     got = classify([ExactScalar(Fraction(math.factorial(n))) for n in range(60)])
     assert got.kind == UNKNOWN
     assert got.chi_undefined
+
+
+def _peaked(bumps=None):
+    """a_n = s_n (3+4i)/n! over 40 indices, so |a_n|^2 n!^2 = 25 s_n^2, with
+    s_n = bumps[n] where given and 1 elsewhere."""
+    bumps = bumps or {}
+    return [ExactScalar(Fraction(3), Fraction(4)) * bumps.get(n, 1)
+            / math.factorial(n) for n in range(40)]
+
+
+def test_peak_exact_ties_give_the_first_index():
+    assert _exact_peak_of_an_nfact(_peaked()) == (math.log(25), 0)
+    lower_start = _peaked({n: Fraction(1, 2) for n in range(5)})
+    assert _exact_peak_of_an_nfact(lower_start)[1] == 5
+    got = classify(lower_start)
+    assert (got.kind, got.k_index) == (RIGHT_HALF_PLANE, 5)
+    assert got.k_bound == pytest.approx(5.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10 ** 15), Fraction(1, 10 ** 30)])
+def test_peak_near_ties_resolve_exactly(eps):
+    # a bump of 1 + eps wins, at its own index, over exact ties before it
+    _, idx = _exact_peak_of_an_nfact(_peaked({7: 1 + eps}))
+    assert idx == 7
+    # a dip of 1 - eps loses to the first of the ties
+    _, idx = _exact_peak_of_an_nfact(_peaked({0: 1 - eps, 1: 1 - eps}))
+    assert idx == 2
+    # two bumps that differ by eps: the larger wins, wherever it sits
+    _, idx = _exact_peak_of_an_nfact(_peaked({3: 2, 9: 2 + eps}))
+    assert idx == 9
+    _, idx = _exact_peak_of_an_nfact(_peaked({3: 2 + eps, 9: 2}))
+    assert idx == 3
+
+
+def test_peak_log_is_that_of_the_exact_winner():
+    # parts of thousands of bits, |a_n| n! about 10.6^n / n!, so the peak is
+    # near n = 10: log_best is the log of the winner's unreduced
+    # |a_n|^2 n!^2, as the exact comparison forms it
+    coeffs = [ExactScalar(Fraction(3 ** (n * 40) + 1, 2 ** (n * 60)),
+                          Fraction(5 ** (n * 30), 7 ** (n * 25) + 2))
+              / math.factorial(n) ** 2 for n in range(30)]
+    log_best, idx = _exact_peak_of_an_nfact(coeffs)
+    values = [(c.abs_squared() * math.factorial(n) ** 2, n)
+              for n, c in enumerate(coeffs)]
+    _, want = max(values, key=lambda v: (v[0], -v[1]))
+    assert idx == want == 10
+    a = coeffs[want]
+    den = (a.re.denominator * a.im.denominator) ** 2
+    assert log_best == math.log(_exact_squares(a) * math.factorial(want) ** 2) \
+        - math.log(den)
 
 
 def test_classify_zero_sequence_is_entire():

@@ -2,11 +2,12 @@
 
 sympy supplies Stirling numbers, falling factorials and rank/pivot
 computations; the recurrence is re-run by a plain Fraction loop written
-here.  Approx series are checked against their exact lift, taken here with
-Fraction.  Example counts are bounded so the whole module stays a few
+here, and shift against its binomial sum written out the same way.  Approx
+series are checked against their exact lift, taken here with Fraction.  Example counts are bounded so the whole module stays a few
 seconds.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,54 @@ def test_approx_operations_equal_their_exact_lift(a, b, scalar, m, p, z):
         == linear_combine([(_fraction_lift(scalar), ls), (1, lt)])
     assert taylor_from_binomial(s, m) == taylor_from_binomial(ls, m)
     assert evaluate_exact(s, z) == evaluate_exact(ls, z)
+
+
+# ---------------------------------------------------------------------------
+# shift: its identities, and the binomial sum written out with Fraction
+# ---------------------------------------------------------------------------
+
+exact_series_st = st.lists(st.one_of(real_scalars, gaussian_scalars),
+                           min_size=1, max_size=12).map(lambda c: BinomialSeries(tuple(c)))
+
+
+def _shift_oracle(s: BinomialSeries, m: int) -> list:
+    # Y(z+m) = sum_j C(m,j) delta^j Y and (delta^j Y)_n = (n+1)...(n+j) a_(n+j)
+    a = [(c.re, c.im) for c in s.coeffs]
+    out = []
+    for n in range(len(a)):
+        re = im = Fraction(0)
+        for k in range(n, len(a)):
+            w = math.comb(m, k - n) * math.factorial(k) // math.factorial(n)
+            re += w * a[k][0]
+            im += w * a[k][1]
+        out.append(ExactScalar(re, im))
+    return out
+
+
+@PROPERTY
+@given(exact_series_st, st.integers(0, 15), st.integers(0, 15))
+def test_shift_composes_additively(s, a, b):
+    assert shift(shift(s, a), b) == shift(s, a + b)
+
+
+@PROPERTY
+@given(exact_series_st)
+def test_shift_by_one_adds_the_difference(s):
+    assert shift(s, 1) == linear_combine([(1, s), (1, delta(s))])
+
+
+@PROPERTY
+@given(exact_series_st, st.integers(0, 30), st.integers(-12, 30))
+def test_shift_at_integers_is_the_series_moved(s, m, k):
+    assert evaluate_exact(shift(s, m), k) == evaluate_exact(s, k + m)
+
+
+@PROPERTY
+@given(exact_series_st, st.integers(0, 40))
+def test_shift_equals_the_binomial_sum(s, drawn):
+    n = len(s.coeffs) - 1
+    for m in sorted({0, 1, 10, n, 2 * n, drawn}):
+        assert list(shift(s, m).coeffs) == _shift_oracle(s, m)
 
 
 # ---------------------------------------------------------------------------
