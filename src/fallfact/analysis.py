@@ -23,6 +23,8 @@ ENTIRE = "entire"
 RIGHT_HALF_PLANE = "right-half-plane"
 UNKNOWN = "unknown"
 
+MIN_GROWTH_COEFFS = 16  # fewest coefficients a window estimate is taken from
+
 
 def _abs_squared_ints(a: ExactScalar) -> tuple[int, int]:
     """|a|^2 as an unreduced integer numerator and denominator."""
@@ -136,14 +138,14 @@ def chi_estimate(coeffs: Sequence, window_fraction: float = 0.5) -> ChiEstimate:
     """Max of s_n over the trailing window; +inf with a flag when undefined.
 
     Zero coefficients are skipped, not treated as -inf.  The all-zero
-    sequence has chi 0 by convention.  Requires at least 16 coefficients.
+    sequence has chi 0 by convention.  Needs MIN_GROWTH_COEFFS coefficients.
     """
     logs = [log_abs(c) for c in coeffs]
     if all(la is None for la in logs):
         lo, hi = _window_bounds(max(len(coeffs), 1), window_fraction)
         return ChiEstimate(0.0, (lo, hi), (), False, True)
-    if len(coeffs) < 16:
-        raise ValueError("need at least 16 coefficients for a window estimate")
+    if len(coeffs) < MIN_GROWTH_COEFFS:
+        raise ValueError(f"a window estimate needs {MIN_GROWTH_COEFFS} coefficients")
     lo, hi = _window_bounds(len(coeffs), window_fraction)
     trace = _s_trace(logs)
     in_window = [s for n, s in trace if lo <= n <= hi]
@@ -169,6 +171,7 @@ class Classification:
     kind: str  # ENTIRE | RIGHT_HALF_PLANE | UNKNOWN
     chi: float
     chi_undefined: bool
+    window: tuple[int, int]  # the chi estimate's window
     k_bound: float | None = None  # finite K with |a_n| n! <= K, when verified
     k_index: int | None = None    # first index attaining the bound
 
@@ -176,24 +179,20 @@ class Classification:
 def classify(coeffs: Sequence, margin: float = 0.1,
              window_fraction: float = 0.5) -> Classification:
     """Entire if chi < 1 - margin; else right-half-plane when |a_n| n! peaks
-    early (before the last quartile); else unknown.  Raw numbers included."""
-    return _classify_estimate(coeffs, chi_estimate(coeffs, window_fraction), margin)
-
-
-def _classify_estimate(coeffs: Sequence, est: ChiEstimate,
-                       margin: float) -> Classification:
-    """classify, given the chi estimate of coeffs that it starts from."""
+    early (before the last quartile); else unknown.  Raw numbers included:
+    chi, whether it is undefined, and the window it was estimated over."""
+    est = chi_estimate(coeffs, window_fraction)
     if est.zero_sequence:
-        return Classification(ENTIRE, 0.0, False)
+        return Classification(ENTIRE, 0.0, False, est.window)
     if not est.undefined and est.value < 1.0 - margin:
-        return Classification(ENTIRE, est.value, False)
+        return Classification(ENTIRE, est.value, False, est.window)
 
     log_best, best_idx = _exact_peak_of_an_nfact(coeffs)
     if log_best is not None and best_idx < math.floor(0.75 * len(coeffs)) \
             and log_best < 1400.0:
-        return Classification(RIGHT_HALF_PLANE, est.value, est.undefined,
+        return Classification(RIGHT_HALF_PLANE, est.value, est.undefined, est.window,
                               math.exp(0.5 * log_best), best_idx)
-    return Classification(UNKNOWN, est.value, est.undefined)
+    return Classification(UNKNOWN, est.value, est.undefined, est.window)
 
 
 # Each key 2 ln|a_n| + 2 ln n! is a few rounded logs of integers and their
@@ -320,5 +319,3 @@ class GrowthEstimate:
     chi_estimate: float
     chi_window: tuple[int, int]
     classification: Classification
-    rho_fit: float | None = None
-    tau_fit: float | None = None

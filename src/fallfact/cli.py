@@ -15,9 +15,8 @@ from contextlib import contextmanager
 from typing import IO, Iterator
 
 from . import config
-# classify stays a module attribute for callers that wrap it here (perfbench's
-# tracer does); _print_growth classifies from the chi estimate it already has
-from .analysis import (_classify_estimate, chi_estimate, classify,  # noqa: F401
+# chi_estimate is not called here; perfbench's tracer patches it on this module
+from .analysis import (MIN_GROWTH_COEFFS, chi_estimate, classify,  # noqa: F401
                        fit_order_type, modulus_profile)
 from .errors import (InputFormatError, MathematicalObstruction,
                      NumericalFailure)
@@ -129,14 +128,13 @@ def _resolved(args) -> config.RunConfig:
 
 
 def _print_growth(series: BinomialSeries, window_fraction: float) -> None:
-    if len(series.coeffs) < 16:
-        print("growth: not estimated (needs >= 16 coefficients)")
+    if len(series.coeffs) < MIN_GROWTH_COEFFS:
+        print(f"growth: not estimated (needs >= {MIN_GROWTH_COEFFS} coefficients)")
         return
-    est = chi_estimate(series.coeffs, window_fraction)
-    cls = _classify_estimate(series.coeffs, est, margin=0.1)  # classify's default
-    chi_txt = "undefined" if est.undefined else f"{est.value:.12g}"
+    cls = classify(series.coeffs, window_fraction=window_fraction)
+    chi_txt = "undefined" if cls.chi_undefined else f"{cls.chi:.12g}"
     print(f"chi_estimate {chi_txt}")
-    print(f"chi_window {est.window[0]} {est.window[1]}")
+    print(f"chi_window {cls.window[0]} {cls.window[1]}")
     print(f"classification {cls.kind}")
     if cls.k_bound is not None:
         print(f"k_bound {cls.k_bound:.12g}")
@@ -329,7 +327,9 @@ def cmd_convert(args) -> int:
     if args.to != "binomial":
         raise InputFormatError("--taylor converts with --to binomial")
     payload = _load_payload(args.taylor)
-    raw = payload["coeffs"] if isinstance(payload, dict) else payload
+    raw = payload.get("coeffs") if isinstance(payload, dict) else payload
+    if not isinstance(raw, list):
+        raise InputFormatError("Taylor coeffs must be a JSON array")
     coeffs = [_decode_sample(v) for v in raw]
     cfg = _resolved(args)
     series = binomial_from_taylor(coeffs, args.n_terms, args.k_cut,
@@ -517,16 +517,10 @@ def main(argv: list[str] | None = None) -> int:
     except MathematicalObstruction as exc:
         print(f"fallfact: {exc}", file=sys.stderr)
         return 2
-    except InputFormatError as exc:
-        print(f"fallfact: {exc}", file=sys.stderr)
-        return 3
     except NumericalFailure as exc:
         print(f"fallfact: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"fallfact: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:  # InputFormatError is a ValueError
         print(f"fallfact: {exc}", file=sys.stderr)
         return 3
 

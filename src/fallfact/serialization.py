@@ -33,13 +33,22 @@ def _scalar_str(c: ExactScalar) -> str:
     return str(c)
 
 
+def _typed(data, kind: type, what: str):
+    """data, when JSON read it as kind (list: an array, int: an integer), so that
+    no string is iterated as an array nor 64.7 read as 64."""
+    if type(data) is not kind:
+        name = "array" if kind is list else "integer"
+        raise InputFormatError(f"{what} must be a JSON {name}, got {data!r}")
+    return data
+
+
 def polynomial_to_json(p: Polynomial) -> list[str]:
     return [_scalar_str(c) for c in p.coeffs]
 
 
-def polynomial_from_json(data: Sequence[str]) -> Polynomial:
+def polynomial_from_json(data: list[str]) -> Polynomial:
     try:
-        return Polynomial(tuple(as_exact(c) for c in data))
+        return Polynomial(tuple(as_exact(c) for c in _typed(data, list, "polynomial")))
     except (ValueError, TypeError) as exc:
         raise InputFormatError(f"bad polynomial coefficients: {exc}") from exc
 
@@ -61,9 +70,9 @@ def series_to_json(series: BinomialSeries) -> dict:
 def series_from_json(data: dict) -> BinomialSeries:
     try:
         regime = data["regime"]
-        coeffs = data["coeffs"]
+        coeffs = _typed(data["coeffs"], list, "series coeffs")
         origin = data.get("origin", "")
-        bits = int(data.get("precision_bits", DEFAULT_PRECISION_BITS))
+        bits = _typed(data.get("precision_bits", DEFAULT_PRECISION_BITS), int, "precision_bits")
         if regime == EXACT:
             return BinomialSeries(tuple(as_exact(c) for c in coeffs), EXACT, origin, bits)
         if regime == APPROX:
@@ -84,7 +93,8 @@ def equation_to_json(eq: LinearDifferenceEquation) -> dict:
 def equation_from_json(data: dict) -> LinearDifferenceEquation:
     try:
         form = data["form"]
-        coeffs = tuple(polynomial_from_json(p) for p in data["coeffs"])
+        coeffs = tuple(polynomial_from_json(p)
+                       for p in _typed(data["coeffs"], list, "equation coeffs"))
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad equation payload: {exc}") from exc
     return LinearDifferenceEquation(form, coeffs)
@@ -100,10 +110,11 @@ def recurrence_to_json(rec: CoefficientRecurrence) -> dict:
 
 def recurrence_from_json(data: dict) -> CoefficientRecurrence:
     try:
-        q = tuple(polynomial_from_json(p) for p in data["q"])
-        n_start = int(data["n_start"])
-        rows = tuple(tuple(as_exact(c) for c in row)
-                     for row in data.get("prefix_constraints", []))
+        q = tuple(polynomial_from_json(p) for p in _typed(data["q"], list, "recurrence q"))
+        n_start = _typed(data["n_start"], int, "n_start")
+        rows = tuple(tuple(as_exact(c) for c in _typed(row, list, "prefix constraint"))
+                     for row in _typed(data.get("prefix_constraints", []), list,
+                                       "prefix_constraints"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad recurrence payload: {exc}") from exc
     return CoefficientRecurrence(q, n_start, rows)

@@ -420,8 +420,10 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     """Partial sum of sum a_n z^(n_) with multiplicative falling-factorial updates.
 
     Stopping rules, in order of priority:
-      * z a nonnegative integer m: terms beyond n = m vanish identically, so
-        the sum terminates at min(m, N) and is converged unconditionally.
+      * z a nonnegative integer m, as its exact image (exact.lift) reads,
+        whatever its type: 8, 8.0, mpf(8) and ExactScalar(8) alike.  Terms
+        beyond n = m vanish identically, so the sum terminates at min(m, N);
+        it is summed exactly, cast once and converged unconditionally.
       * window rule: |term| < eps * max(1, |partial|) for `window` consecutive
         terms, allowed only once n >= ceil(|z|) + 5 (|z^(n_)| can grow before
         coefficient decay takes over).
@@ -430,21 +432,22 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
       * n_max reached first: returned with converged=False.  The cap holds
         at integer points too, for every series.
 
-    An exact nonnegative integer z (int, Fraction or ExactScalar) whose sum
-    ends within the cap is summed exactly and cast once.  Otherwise z is
-    cast to precision_bits (default: the series' own precision_bits) and
-    the terms are summed in fixed point by _fixed_point_sum; the cast
-    coefficients are kept on the series.  The value is an mpc of the
-    context shared at that precision.
+    Other points, and integer ones past the cap, are cast to precision_bits
+    (default: the series' own precision_bits) and summed in fixed point by
+    _fixed_point_sum; the cast coefficients are kept on the series.  The
+    value is an mpc of the context shared at that precision.
     """
     if precision_bits is None:
         precision_bits = series.precision_bits
     ctx = _context(precision_bits)
     zz = to_mpc(z, ctx)
+    point = _gaussian(zz._mpc_, 0)
+    zr, zi, ez = point
     top_index = len(series.coeffs) - 1
 
-    if isinstance(z, (int, Fraction, ExactScalar)) and not isinstance(z, bool):
-        ze = as_exact(z)
+    # a nonnegative integer casts to one, so only such a cast is lifted
+    if not zi and zr >= 0 and not zr & ((1 << -ez) - 1):
+        ze = lift(z)
         if ze.is_integer() and ze.re >= 0 and min(ze.re, top_index) <= n_max:
             # exact finite sum, cast once at the end
             m = int(ze.re)
@@ -456,16 +459,8 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
                                     _exact_term_magnitude(series, m, stop), 0.0, True,
                                     "integer", _float_up(abs(err.re) + abs(err.im)))
 
-    point = _gaussian(zz._mpc_, 0)
-    zr, zi, ez = point
-    m = zr >> -ez if not zi and zr >= 0 and not zr & ((1 << -ez) - 1) else None
-    limit = top_index
-    reason = "exhausted"
-    if m is not None and m < limit:
-        limit, reason = m, "integer"
-    capped = n_max < limit
-    if capped:
-        limit = n_max
+    capped = n_max < top_index
+    limit = n_max if capped else top_index
     min_index = int(ctx.ceil(abs(zz))) + 5
 
     re, im, exp, units, recent, terms_used, by_window = _fixed_point_sum(
@@ -487,7 +482,7 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
         # the cap cut the sum short of its natural end, integer point or not
         converged, reason, tail = False, "n_max", math.inf
     else:
-        converged, tail = True, 0.0  # an integer point's or the stored object's full sum
+        converged, reason, tail = True, "exhausted", 0.0  # the stored object's full sum
     last = float(mags[-1]) if mags else 0.0
     return EvaluationResult(value, terms_used, last, tail, converged, reason, radius)
 
@@ -805,8 +800,8 @@ def taylor_from_binomial(series: BinomialSeries, m_max: int,
 
     flagged = False
     chi_val: float | None = None
-    if len(series.coeffs) >= 16:
-        from .analysis import chi_estimate  # local import keeps analysis series-free
+    from .analysis import MIN_GROWTH_COEFFS, chi_estimate  # keeps analysis series-free
+    if len(series.coeffs) >= MIN_GROWTH_COEFFS:
         est = chi_estimate(series.coeffs)
         chi_val = est.value
         flagged = est.undefined or est.value >= 1.0

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .analysis import (Classification, ENTIRE, GrowthEstimate, UNKNOWN,
-                       _classify_estimate, chi_estimate, classify)
+# chi_estimate is not called here; perfbench's tracer patches it on this module
+from .analysis import (Classification, GrowthEstimate, MIN_GROWTH_COEFFS,  # noqa: F401
+                       UNKNOWN, chi_estimate, classify)
 from .errors import (DeterminacyError, InputFormatError, PoleError,
                      SingularRecurrenceError)
 from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
@@ -92,27 +93,17 @@ def _binomial_transform(eq: LinearDifferenceEquation, form: str,
 # ---------------------------------------------------------------------------
 
 def _equation_operator(eq: LinearDifferenceEquation) -> _SeqOperator:
+    """sum_j p_j(z) delta^j, each p_j(z) a polynomial in the z operator."""
     eq = to_delta_form(eq)
     z_op = _SeqOperator.z_multiplication()
     d_op = _SeqOperator.delta_op()
-
-    max_zdeg = max(len(p.coeffs) for p in eq.coeffs)
-    z_pow = [_SeqOperator.identity()]
-    for _ in range(max_zdeg - 1):
-        z_pow.append(z_op.compose(z_pow[-1]))
-
     total = _SeqOperator({})
     d_power = _SeqOperator.identity()
     for j, pj in enumerate(eq.coeffs):
         if j:
             d_power = d_op.compose(d_power)
-        if pj.is_zero():
-            continue
-        pz = _SeqOperator({})
-        for k, ck in enumerate(pj.coeffs):
-            if not ck.is_zero():
-                pz = pz + z_pow[k].scaled(ck)
-        total = total + pz.compose(d_power)
+        if not pj.is_zero():
+            total = total + z_op.polynomial(pj.coeffs).compose(d_power)
     return total
 
 
@@ -288,23 +279,19 @@ def solve_recurrence(rec: CoefficientRecurrence,
 def formal_solve(eq: LinearDifferenceEquation,
                  free_values: Mapping[int, object],
                  n_target: int,
-                 origin: str = "solver",
-                 margin: float = 0.1,
-                 window_fraction: float = 0.5) -> tuple[BinomialSeries, GrowthEstimate]:
-    """derive -> solve -> wrap as an exact series with a growth verdict."""
+                 origin: str = "solver") -> tuple[BinomialSeries, GrowthEstimate]:
+    """derive -> solve -> wrap as an exact series with classify's growth verdict.
+
+    A nonzero series shorter than MIN_GROWTH_COEFFS is left unknown, with chi nan.
+    """
     rec = derive_recurrence(eq)
     coeffs = solve_recurrence(rec, free_values, n_target)
     series = exact_series(coeffs, origin)
-    if series.is_zero():
-        est = GrowthEstimate(0.0, (0, n_target), Classification(ENTIRE, 0.0, False))
-    elif len(coeffs) >= 16:
-        chi = chi_estimate(coeffs, window_fraction)
-        est = GrowthEstimate(chi.value, chi.window,
-                             _classify_estimate(coeffs, chi, margin))
+    if len(coeffs) >= MIN_GROWTH_COEFFS or series.is_zero():
+        cls = classify(coeffs)
     else:
-        est = GrowthEstimate(math.nan, (0, n_target),
-                             Classification(UNKNOWN, math.nan, True))
-    return series, est
+        cls = Classification(UNKNOWN, math.nan, True, (0, n_target))
+    return series, GrowthEstimate(cls.chi, cls.window, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +371,14 @@ def default_re_threshold(series: BinomialSeries, eps: float) -> float:
     return 5.0 + math.log(1.0 / eps) / math.log(n + 2)
 
 
+MAX_CONTINUATION_STEPS = 10000  # backward steps continuation_eval takes at most
+
+
 def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
                       eps: float = DEFAULT_EPS,
                       re_threshold: float | None = None,
                       n_max: int = DEFAULT_N_MAX,
-                      precision_bits: int = DEFAULT_PRECISION_BITS,
-                      max_steps: int = 10000) -> ContinuationResult:
+                      precision_bits: int = DEFAULT_PRECISION_BITS) -> ContinuationResult:
     """Evaluate left of the reliable half plane by unrolling the shift form:
 
         y(z) = -(1/b_0(z)) sum_{j>=1} b_j(z) y(z+j),
@@ -418,9 +407,9 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
         return ContinuationResult(res.value, res.converged, 0, 1, re_threshold)
 
     k_steps = int(math.floor(re_threshold - re_z)) + 1
-    if k_steps > max_steps:
+    if k_steps > MAX_CONTINUATION_STEPS:
         raise InputFormatError(
-            f"continuation would need {k_steps} steps (cap {max_steps})")
+            f"continuation would need {k_steps} steps (cap {MAX_CONTINUATION_STEPS})")
 
     values: dict[int, object] = {}
     converged = True

@@ -321,6 +321,20 @@ def test_convert_series_taylor_round_trip(tmp_path, capsys, geometric_eq):
     assert read_json(back)["coeffs"] == read_json(tmp_path / "series.json")["coeffs"]
 
 
+@pytest.mark.parametrize("command, flag, payload", [
+    ("eval", "--series", {"regime": "exact", "coeffs": "123"}),
+    ("eval", "--series", {"regime": "exact", "coeffs": ["1"], "precision_bits": 64.7}),
+    ("polygon", "--equation", {"form": "delta", "coeffs": [["1"], "12"]}),
+    ("convert", "--taylor", {"coeffs": "123"}),
+    ("convert", "--taylor", {"coefficients": ["1"]}),
+])
+def test_malformed_json_is_exit_3(tmp_path, capsys, command, flag, payload):
+    path = write_json(tmp_path / "bad.json", payload)
+    extra = {"eval": ["--at", "0.5"], "polygon": [], "convert": ["--to", "binomial"]}
+    assert main([command, flag, path, *extra[command]]) == 3
+    assert "fallfact:" in capsys.readouterr().err
+
+
 def test_convert_source_validation(tmp_path, capsys, geometric_eq):
     assert main(["convert", "--to", "shift"]) == 3
     assert main(["convert", "--equation", geometric_eq, "--to", "taylor"]) == 3

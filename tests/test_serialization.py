@@ -152,6 +152,24 @@ def test_bad_payloads_raise_input_format_error():
         polygon_from_json({"points": [[0, 0]], "hull": "no", "slopes": []})
 
 
+@pytest.mark.parametrize("reader, payload", [
+    (series_from_json, {"regime": "exact", "coeffs": "123"}),
+    (series_from_json, {"regime": "exact", "coeffs": ["1"], "precision_bits": 64.7}),
+    (series_from_json, {"regime": "exact", "coeffs": ["1"], "precision_bits": "128"}),
+    (polynomial_from_json, "12"),
+    (equation_from_json, {"form": DELTA_FORM, "coeffs": [["1"], "12"]}),
+    (equation_from_json, {"form": DELTA_FORM, "coeffs": "12"}),
+    (recurrence_from_json, {"q": ["1", ["1"]], "n_start": 0}),
+    (recurrence_from_json, {"q": [["1"], ["1"]], "n_start": 0.5}),
+    (recurrence_from_json, {"q": [["1"], ["1"]], "n_start": 0,
+                            "prefix_constraints": ["12"]}),
+])
+def test_readers_refuse_a_string_for_an_array_and_a_fraction_for_an_int(reader, payload):
+    # iterating "123" would read the coefficients 1, 2, 3; int(64.7) would read 64
+    with pytest.raises(InputFormatError, match="JSON (array|integer)"):
+        reader(payload)
+
+
 # ---------------------------------------------------------------------------
 # CSV writers
 # ---------------------------------------------------------------------------

@@ -127,10 +127,31 @@ def test_integer_point_exact_termination():
     assert res.converged
     assert complex(res.value) == 0  # (1-1)^8, binomial theorem, exactly
     assert evaluate_exact(s, 0) == as_exact(1)
-    # numeric integer input takes the numeric fast path, same value
+    # a float integer point takes the same exact path
     res2 = evaluate(s, 8.0)
     assert res2.reason == "integer"
     assert abs(complex(res2.value)) < 1e-30
+
+
+def test_integer_points_follow_one_rule_whatever_their_type():
+    from mpmath import mpc, mpf
+    # 5 coefficients: the point 8 lies past the last one, where a float point
+    # used to be summed in fixed point and report "exhausted"
+    coeffs = [1, Fraction(-1, 3), Fraction(1, 7), 2, Fraction(5, 11)]
+    s = exact_series(coeffs)
+    want = sum(Fraction(c) * math.perm(8, n) for n, c in enumerate(coeffs))
+    results = [evaluate(s, z) for z in (8, 8.0, mpf(8), ExactScalar(8), Fraction(8),
+                                        complex(8), mpc(8))]
+    for res in results:
+        assert (res.reason, res.terms_used, res.converged) == ("integer", 5, True)
+        assert (res.value, res.rounding_radius) == (results[0].value,
+                                                    results[0].rounding_radius)
+    assert abs(complex(results[0].value) - float(want)) < 1e-12 * float(want)
+    # a point that casts to an integer but is not one is not summed as one
+    near = evaluate(s, Fraction(8) + Fraction(1, 2 ** 200))
+    assert (near.reason, near.terms_used) == ("exhausted", 5)
+    with pytest.raises(TypeError):
+        evaluate(s, True)
 
 
 def test_exhaustion_is_converged():
@@ -246,32 +267,27 @@ def test_taylor_approx_regime():
 
 def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=None,
                         window=5, margins=None):
-    """The ctx.mpc loop evaluate ran before the fixed-point kernel, kept as an oracle.
+    """The ctx.mpc loop evaluate ran before the fixed-point kernel, kept as an
+    oracle, with evaluate's one integer-point rule.
 
     margins, when given, receives |r - 1| for each window decision, where
     r = |term| / (eps * max(1, |partial|)) as this loop rounds it.
     """
-    from fallfact.exact import to_mpc
+    from fallfact.exact import lift, to_mpc
     from fallfact.series import OVERFLOW_EXPONENT, _exact_term_magnitude, _geometric_tail
     if precision_bits is None:
         precision_bits = series.precision_bits
     ctx = make_context(precision_bits)
     zz = to_mpc(z, ctx)
     top_index = len(series.coeffs) - 1
-    if isinstance(z, (int, Fraction, ExactScalar)) and not isinstance(z, bool):
-        ze = as_exact(z)
-        if ze.is_integer() and ze.re >= 0 and min(ze.re, top_index) <= n_max:
-            m = int(ze.re)
-            stop = min(m, top_index)
-            return (to_mpc(evaluate_exact(series, ze), ctx), max(stop + 1, 0),
-                    _exact_term_magnitude(series, m, stop), 0.0, True, "integer")
-    m = None
-    if zz.imag == 0 and zz.real >= 0 and zz.real == ctx.floor(zz.real):
-        m = int(zz.real)
+    ze = lift(z)
+    if ze.is_integer() and ze.re >= 0 and min(ze.re, top_index) <= n_max:
+        m = int(ze.re)
+        stop = min(m, top_index)
+        return (to_mpc(evaluate_exact(series, ze), ctx), max(stop + 1, 0),
+                _exact_term_magnitude(series, m, stop), 0.0, True, "integer")
     limit = top_index
     reason = "exhausted"
-    if m is not None and m < limit:
-        limit, reason = m, "integer"
     capped = False
     if n_max < limit:
         limit, capped = n_max, True

@@ -352,7 +352,6 @@ def test_continuation_classifies_a_series_once(monkeypatch):
 
 def test_formal_solve_estimates_chi_once(monkeypatch):
     import fallfact.analysis as analysis_mod
-    import fallfact.solver as solver_mod
     from fallfact.analysis import chi_estimate, classify
     calls = []
 
@@ -360,14 +359,12 @@ def test_formal_solve_estimates_chi_once(monkeypatch):
         calls.append(len(coeffs))
         return chi_estimate(coeffs, *args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "chi_estimate", counting)
     monkeypatch.setattr(analysis_mod, "chi_estimate", counting)
-    for eq, free, margin, fraction in ((ORDER_HALF, {0: 1, 1: Fraction(-1, 2)}, 0.1, 0.5),
-                                       (FACTORIAL, {0: 1}, 0.3, 0.25),
-                                       (GEOMETRIC, {0: 1}, 0.1, 0.5)):
+    for eq, free in ((ORDER_HALF, {0: 1, 1: Fraction(-1, 2)}), (FACTORIAL, {0: 1}),
+                     (GEOMETRIC, {0: 1}), (GEOMETRIC, {0: 0})):
         del calls[:]
-        s, est = formal_solve(eq, free, 80, margin=margin, window_fraction=fraction)
+        s, est = formal_solve(eq, free, 80)
         assert calls == [81]
-        chi = chi_estimate(s.coeffs, fraction)
+        chi = chi_estimate(s.coeffs)
         assert (est.chi_estimate, est.chi_window) == (chi.value, chi.window)
-        assert est.classification == classify(s.coeffs, margin, fraction)
+        assert est.classification == classify(s.coeffs)
