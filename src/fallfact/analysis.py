@@ -180,7 +180,10 @@ def classify(coeffs: Sequence, margin: float = 0.1,
              window_fraction: float = 0.5) -> Classification:
     """Entire if chi < 1 - margin; else right-half-plane when |a_n| n! peaks
     early (before the last quartile); else unknown.  Raw numbers included:
-    chi, whether it is undefined, and the window it was estimated over."""
+    chi, whether it is undefined, and the window it was estimated over.  A
+    nonzero sequence shorter than MIN_GROWTH_COEFFS is unknown with chi nan."""
+    if len(coeffs) < MIN_GROWTH_COEFFS and not all(lift(c).is_zero() for c in coeffs):
+        return Classification(UNKNOWN, math.nan, True, (0, len(coeffs) - 1))
     est = chi_estimate(coeffs, window_fraction)
     if est.zero_sequence:
         return Classification(ENTIRE, 0.0, False, est.window)

@@ -24,11 +24,11 @@ from .exact import as_exact
 from .interp import newton_series, reconstruct_check
 from .polynomial import format_poly
 from .riccati import riccati_coefficient, riccati_instance, verify_riccati
-from .serialization import (dump_json, equation_from_json, equation_to_json,
-                            load_json, polygon_to_json, polynomial_to_json,
-                            recurrence_to_json, series_from_json,
-                            series_to_json, write_eval_csv, write_profile_csv,
-                            write_residual_csv)
+from .serialization import (decode_sample, dump_json, equation_from_json,
+                            equation_to_json, load_json, polygon_to_json,
+                            polynomial_to_json, recurrence_to_json,
+                            series_from_json, series_to_json, write_eval_csv,
+                            write_profile_csv, write_residual_csv)
 from .series import (BinomialSeries, binomial_from_taylor, evaluate,
                      taylor_from_binomial)
 from .solver import (LinearDifferenceEquation, candidate_orders,
@@ -122,16 +122,14 @@ def _collect_points(args) -> list[complex]:
 
 
 def _resolved(args) -> config.RunConfig:
-    base = config.from_env()
-    return config.resolve(base, getattr(args, "precision_bits", None),
-                          getattr(args, "eps", None), getattr(args, "n_max", None))
+    return config.resolve(config.from_env(), args.precision_bits, args.eps, args.n_max)
 
 
 def _print_growth(series: BinomialSeries, window_fraction: float) -> None:
-    if len(series.coeffs) < MIN_GROWTH_COEFFS:
+    cls = classify(series.coeffs, window_fraction=window_fraction)
+    if math.isnan(cls.chi):
         print(f"growth: not estimated (needs >= {MIN_GROWTH_COEFFS} coefficients)")
         return
-    cls = classify(series.coeffs, window_fraction=window_fraction)
     chi_txt = "undefined" if cls.chi_undefined else f"{cls.chi:.12g}"
     print(f"chi_estimate {chi_txt}")
     print(f"chi_window {cls.window[0]} {cls.window[1]}")
@@ -272,7 +270,7 @@ def cmd_interp(args) -> int:
         raw = _load_payload(args.samples)
         if not isinstance(raw, list):
             raise InputFormatError("samples file must hold a JSON array")
-        values = [_decode_sample(v) for v in raw]
+        values = [decode_sample(v) for v in raw]
     else:
         values = [as_exact(t) for t in args.values]
     if not values:
@@ -284,18 +282,6 @@ def cmd_interp(args) -> int:
     with _out_stream(args.out) as fh:
         dump_json(series_to_json(series), fh)
     return 0
-
-
-def _decode_sample(v):
-    if isinstance(v, bool):
-        raise InputFormatError("bool is not a sample")
-    if isinstance(v, (int, str)):
-        return as_exact(v)
-    if isinstance(v, float):
-        return v
-    if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise InputFormatError(f"cannot decode sample {v!r}")
 
 
 def cmd_convert(args) -> int:
@@ -330,10 +316,8 @@ def cmd_convert(args) -> int:
     raw = payload.get("coeffs") if isinstance(payload, dict) else payload
     if not isinstance(raw, list):
         raise InputFormatError("Taylor coeffs must be a JSON array")
-    coeffs = [_decode_sample(v) for v in raw]
-    cfg = _resolved(args)
+    coeffs = [decode_sample(v) for v in raw]
     series = binomial_from_taylor(coeffs, args.n_terms, args.k_cut,
-                                  precision_bits=cfg.precision_bits,
                                   origin="taylor-conversion")
     with _out_stream(args.out) as fh:
         dump_json(series_to_json(series), fh)
@@ -382,14 +366,10 @@ def cmd_seed_examples(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_precision_flag(p: argparse.ArgumentParser) -> None:
+def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision-bits", type=int, default=None,
                    help="working precision (>= 53); FALLFACT_PRECISION_BITS "
                         "applies when the flag is absent")
-
-
-def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
-    _add_precision_flag(p)
     p.add_argument("--eps", type=float, default=None, help="stopping tolerance")
     p.add_argument("--n-max", type=int, default=None, help="evaluation term cap")
 
@@ -488,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-terms", type=int, default=None,
                    help="truncation order for --to binomial")
     p.add_argument("--out", default=None)
-    _add_precision_flag(p)  # the precision a --to binomial series is stored with
     p.set_defaults(handler=cmd_convert)
 
     p = sub.add_parser("continue-eval",

@@ -18,8 +18,8 @@ from .exact import (ExactScalar, from_numerators, integer_numerators, lift,
                     magnitude)
 # evaluate and make_context are not called here; they stay importable
 # because perfbench's tracer patches them on this module
-from .series import (BinomialSeries, DEFAULT_PRECISION_BITS, EXACT,  # noqa: F401
-                     evaluate, evaluate_exact, make_context)
+from .series import (APPROX, BinomialSeries, EXACT, evaluate,  # noqa: F401
+                     evaluate_exact, make_context)
 
 _EXACT_SAMPLE_TYPES = (ExactScalar, int, Fraction, str)
 
@@ -71,16 +71,14 @@ def forward_differences(values: Sequence) -> SampleTable:
     return SampleTable(tuple(values), rows, exact)
 
 
-def newton_series(samples, origin: str = "interpolation",
-                  precision_bits: int = DEFAULT_PRECISION_BITS) -> BinomialSeries:
+def newton_series(samples, origin: str = "interpolation") -> BinomialSeries:
     """Series with a_n = (delta^n f)(0) / n! from samples f(0..N).
 
     Exact samples give an exact-regime series; float or complex samples give
     an approx-regime series (the triangle is still computed exactly, so the
-    only rounding is the final cast).  Either way the series carries
-    precision_bits, the precision its evaluations cast to by default.  The
-    triangle runs on integer numerators over the samples' common
-    denominator, keeping one row at a time.
+    only rounding is the final cast).  The triangle runs on integer
+    numerators over the samples' common denominator, keeping one row at a
+    time.
     """
     if isinstance(samples, SampleTable):
         leading, den = integer_numerators(samples.leading_differences())
@@ -95,9 +93,8 @@ def newton_series(samples, origin: str = "interpolation",
             fact *= n
         coeffs.append(from_numerators(re, im, den * fact))
     if exact:
-        return BinomialSeries(tuple(coeffs), EXACT, origin, precision_bits)
-    return BinomialSeries(tuple(complex(c) for c in coeffs), "approx", origin,
-                          precision_bits)
+        return BinomialSeries(tuple(coeffs), EXACT, origin)
+    return BinomialSeries(tuple(complex(c) for c in coeffs), APPROX, origin)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,16 @@ Exact data travels as rational strings ("(-3/2)+(1/2)i" style comes back
 through the same parser that accepts CLI input), little-endian for
 polynomial coefficient arrays.  Approx series store their binary64
 coefficients as [re, im] float pairs and read them back as Python complex
-values, bit for bit; computations lift them exactly.  Series of both
-regimes store precision_bits, the precision evaluations cast to by
-default; files written without it read as 128 bits.  CSV writers cover
+values, bit for bit; computations lift them exactly.  decode_sample reads
+those pairs, and the samples and Taylor coefficients the CLI takes.  A
+series file carries no precision: evaluations take theirs from the caller,
+and the "precision_bits" key of older files is ignored.  CSV writers cover
 evaluation grids, modulus profiles, and verification residual tables.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 from fractions import Fraction
@@ -20,8 +22,7 @@ from typing import IO, Iterable, Sequence
 from .errors import InputFormatError
 from .exact import ExactScalar, as_exact
 from .polynomial import Polynomial
-from .series import (APPROX, BinomialSeries, DEFAULT_PRECISION_BITS, EXACT,
-                     EvaluationResult)
+from .series import APPROX, BinomialSeries, EXACT, EvaluationResult
 from .solver import (CoefficientRecurrence, LinearDifferenceEquation,
                      NewtonPolygon, candidate_orders)
 from .analysis import ModulusProfile
@@ -42,6 +43,22 @@ def _typed(data, kind: type, what: str):
     return data
 
 
+def decode_sample(v):
+    """A JSON sample: an integer or rational string exactly, a finite float as
+    itself, an [re, im] pair of JSON numbers (no bools or strings) as a complex."""
+    if type(v) in (int, str):
+        return as_exact(v)
+    value = v
+    if type(v) is list and len(v) == 2 and all(type(x) in (int, float) for x in v):
+        try:
+            value = complex(*v)
+        except OverflowError:  # an integer part beyond the float range
+            value = None
+    if type(value) in (float, complex) and cmath.isfinite(value):
+        return value
+    raise InputFormatError(f"cannot decode sample {v!r}")
+
+
 def polynomial_to_json(p: Polynomial) -> list[str]:
     return [_scalar_str(c) for c in p.coeffs]
 
@@ -56,15 +73,14 @@ def polynomial_from_json(data: list[str]) -> Polynomial:
 def series_to_json(series: BinomialSeries) -> dict:
     if series.regime == EXACT:
         return {"format_version": FORMAT_VERSION, "regime": EXACT,
-                "origin": series.origin, "precision_bits": series.precision_bits,
+                "origin": series.origin,
                 "coeffs": [_scalar_str(c) for c in series.coeffs]}
     pairs = []
     for c in series.coeffs:
         cc = complex(c)
         pairs.append([cc.real, cc.imag])
     return {"format_version": FORMAT_VERSION, "regime": APPROX,
-            "origin": series.origin, "precision_bits": series.precision_bits,
-            "coeffs": pairs}
+            "origin": series.origin, "coeffs": pairs}
 
 
 def series_from_json(data: dict) -> BinomialSeries:
@@ -72,12 +88,11 @@ def series_from_json(data: dict) -> BinomialSeries:
         regime = data["regime"]
         coeffs = _typed(data["coeffs"], list, "series coeffs")
         origin = data.get("origin", "")
-        bits = _typed(data.get("precision_bits", DEFAULT_PRECISION_BITS), int, "precision_bits")
         if regime == EXACT:
-            return BinomialSeries(tuple(as_exact(c) for c in coeffs), EXACT, origin, bits)
+            return BinomialSeries(tuple(as_exact(c) for c in coeffs), EXACT, origin)
         if regime == APPROX:
-            vals = tuple(complex(re, im) for re, im in coeffs)
-            return BinomialSeries(vals, APPROX, origin, bits)
+            pairs = (_typed(c, list, "approx coefficient") for c in coeffs)
+            return BinomialSeries(tuple(map(decode_sample, pairs)), APPROX, origin)
     except InputFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

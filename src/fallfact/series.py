@@ -6,13 +6,13 @@ exactly.  When the input is a truncation of an infinite series, each
 operation's docstring states through which index the output coefficients
 remain faithful to the underlying series (delta: N-1, shift by m: N-m,
 mul_by_z: N+1, and so on); beyond that the entries are still the exact
-transform of the stored polynomial.  delta, mul_by_z and mul_by_poly (as
-p(z)) are each one application of _SeqOperator, the operator calculus the
-solver also derives its recurrences in, so how delta and z act on
-coefficients is decided in that one class; an application sums integer
-numerators over one common denominator.  shift (as (1 + delta)^m) runs
-Horner's rule with delta's rule inline instead, so that it multiplies by
-small integers only and costs O(N min(m, N)).
+transform of the stored polynomial.  delta, mul_by_z and mul_by_poly (by
+Horner's rule in z) apply _SeqOperator, the operator calculus the solver
+also derives its recurrences in, so how delta and z act on coefficients is
+decided in that one class; an application sums integer numerators over one
+common denominator.  shift (as (1 + delta)^m) runs Horner's rule with
+delta's rule inline instead, so that it multiplies by small integers only
+and costs O(N min(m, N)).
 
 The regime says how the coefficients are stored: "exact" series hold
 Gaussian rationals, "approx" series hold binary64 values (Python floats or
@@ -20,9 +20,9 @@ complex, as newton_series and the JSON reader give them).  Binary floats are
 rationals, so every computation runs on the coefficients' exact image: the
 coefficients themselves for an exact series, their lossless lift
 (exact.lift) for an approx one.  Operators and Taylor conversions therefore
-return exact series, also for approx input.  precision_bits (at least 53,
-in every regime) is the precision evaluations cast to by default, not a
-property of the stored data.
+return exact series, also for approx input.  A series stores no
+precision: every evaluation casts to the precision its caller passes
+(DEFAULT_PRECISION_BITS unless told otherwise, at least 53).
 
 Evaluation sums in fixed point: z exactly as a Gaussian integer at one
 binary exponent, z^(n_) and the partial sum as Gaussian integers carried
@@ -106,7 +106,6 @@ class BinomialSeries:
     coeffs: tuple = ()
     regime: str = EXACT
     origin: str = ""
-    precision_bits: int = DEFAULT_PRECISION_BITS
     # values derived from the coefficients alone, by key: "exact", cast
     # prefixes by precision, "numerators", "classify"; outside ==, hash and repr
     _memo: dict = field(default_factory=dict, init=False, compare=False,
@@ -115,8 +114,6 @@ class BinomialSeries:
     def __post_init__(self) -> None:
         if self.regime not in (EXACT, APPROX):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.precision_bits < 53:
-            raise ValueError(f"precision_bits must be >= 53, got {self.precision_bits}")
         if self.regime == EXACT:
             object.__setattr__(self, "coeffs", tuple(as_exact(c) for c in self.coeffs))
         else:
@@ -138,8 +135,8 @@ class BinomialSeries:
         return all(c.is_zero() for c in self._exact_coeffs)
 
     def with_coeffs(self, coeffs: Iterable) -> "BinomialSeries":
-        """An exact series of these coefficients, with this one's origin and precision."""
-        return BinomialSeries(tuple(coeffs), EXACT, self.origin, self.precision_bits)
+        """An exact series of these coefficients, with this one's origin."""
+        return BinomialSeries(tuple(coeffs), EXACT, self.origin)
 
     def _memoized(self, key, build: Callable):
         """build(), kept under key: it must depend on the coefficients only."""
@@ -185,9 +182,8 @@ def exact_series(coeffs: Iterable, origin: str = "") -> BinomialSeries:
     return BinomialSeries(tuple(coeffs), EXACT, origin)
 
 
-def approx_series(coeffs: Iterable, precision_bits: int = DEFAULT_PRECISION_BITS,
-                  origin: str = "") -> BinomialSeries:
-    return BinomialSeries(tuple(coeffs), APPROX, origin, precision_bits)
+def approx_series(coeffs: Iterable, origin: str = "") -> BinomialSeries:
+    return BinomialSeries(tuple(coeffs), APPROX, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +246,17 @@ class _SeqOperator:
         return total
 
     def apply(self, series: BinomialSeries, width: int) -> BinomialSeries:
-        """Entries 0..width-1 of this operator on the series' exact image.
+        """Entries 0..width-1 of this operator on the series' exact image, each
+        summed on integer numerators and reduced once."""
+        nums, den = integer_numerators(series._exact_coeffs)
+        out, r_den = self.apply_to_numerators(nums, width)
+        return series.with_coeffs(from_numerators(re, im, den * r_den) for re, im in out)
 
-        a_k = 0 outside 0..N.  The r_s and the coefficients are taken to
-        integer numerators over one denominator each, and every entry is
-        summed in integers and reduced once.
-        """
+    def apply_to_numerators(self, nums: Sequence, width: int) -> tuple[list, int]:
+        """Entries 0..width-1 on the Gaussian integers nums (a_k = 0 outside them)
+        as (re, im) numerators over the r_s' common denominator, returned too."""
         shifts = list(self.terms)
         polys, den = _integer_polynomials([self.terms[s] for s in shifts])
-        nums, a_den = integer_numerators(series._exact_coeffs)
-        den *= a_den
         out = []
         for n in range(width):
             re = im = 0
@@ -269,8 +266,8 @@ class _SeqOperator:
                     r_re, r_im = _horner(r, n)
                     re += r_re * a_re - r_im * a_im
                     im += r_re * a_im + r_im * a_re
-            out.append(from_numerators(re, im, den))
-        return series.with_coeffs(out)
+            out.append((re, im))
+        return out, den
 
 
 def _integer_polynomials(polys: Sequence[Polynomial]) -> tuple[list, int]:
@@ -354,11 +351,20 @@ def linear_combine(pairs: Sequence[tuple]) -> BinomialSeries:
 
 
 def mul_by_poly(series: BinomialSeries, p: Polynomial) -> BinomialSeries:
-    """p(z) * Y, zero-extended to length N + deg p + 1."""
+    """p(z) * Y, zero-extended to length N + deg p + 1: Horner's rule in z,
+    acc = z acc + p_k A, on integer numerators in O(N deg p), reduced once."""
     if p.is_zero() or not series.coeffs:
         return series.with_coeffs(())
-    op = _SeqOperator.z_multiplication().polynomial(p.coeffs)
-    return op.apply(series, len(series.coeffs) + len(p.coeffs) - 1)
+    nums, den = integer_numerators(series._exact_coeffs)
+    p_nums, p_den = integer_numerators(p.coeffs)
+    z = _SeqOperator.z_multiplication()
+    acc = [(0, 0)] * len(nums)
+    for k, (c_re, c_im) in enumerate(reversed(p_nums)):
+        if k:  # z's rule has integer coefficients: over the denominator 1
+            acc = z.apply_to_numerators(acc, len(acc) + 1)[0]
+        acc[:len(nums)] = [(x_re + c_re * a_re - c_im * a_im, x_im + c_re * a_im + c_im * a_re)
+                           for (x_re, x_im), (a_re, a_im) in zip(acc, nums)]
+    return series.with_coeffs(from_numerators(re, im, den * p_den) for re, im in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +421,7 @@ def evaluate_exact(series: BinomialSeries, z) -> ExactScalar:
 
 def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
              n_max: int = DEFAULT_N_MAX, *,
-             precision_bits: int | None = None,
+             precision_bits: int = DEFAULT_PRECISION_BITS,
              window: int = DEFAULT_WINDOW) -> EvaluationResult:
     """Partial sum of sum a_n z^(n_) with multiplicative falling-factorial updates.
 
@@ -433,12 +439,9 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
         at integer points too, for every series.
 
     Other points, and integer ones past the cap, are cast to precision_bits
-    (default: the series' own precision_bits) and summed in fixed point by
-    _fixed_point_sum; the cast coefficients are kept on the series.  The
+    and summed in fixed point by _fixed_point_sum; the cast coefficients are kept on the series.  The
     value is an mpc of the context shared at that precision.
     """
-    if precision_bits is None:
-        precision_bits = series.precision_bits
     ctx = _context(precision_bits)
     zz = to_mpc(z, ctx)
     point = _gaussian(zz._mpc_, 0)
@@ -672,14 +675,15 @@ def _exact_term_magnitude(series: BinomialSeries, m: int, stop: int) -> float:
 
 @dataclass(frozen=True)
 class AcceleratedResult:
-    value: object  # ctx.mpc at the series' precision
+    value: object  # an mpc of the context shared at the requested precision
     terms_used: int
     error_estimate: float  # |L_k - L_(k-1)|: an estimate, not a bound
     converged: bool
     reason: str  # "integer" | "terminated" | "levin" | "unsettled" | "singular"
 
 
-def evaluate_accelerated(series: BinomialSeries, z) -> AcceleratedResult:
+def evaluate_accelerated(series: BinomialSeries, z, *,
+                         precision_bits: int = DEFAULT_PRECISION_BITS) -> AcceleratedResult:
     """Levin t-transform of the partial sums of sum a_n z^(n_), computed exactly.
 
     With terms t_n = a_n z^(n_), partial sums s_n and remainder estimates
@@ -691,7 +695,7 @@ def evaluate_accelerated(series: BinomialSeries, z) -> AcceleratedResult:
 
     with k = N - n0, so every stored term is used.  The sums run in Gaussian
     rationals from the stored coefficients and the value is cast once at the
-    end, at series.precision_bits.  error_estimate is |L_k - L_(k-1)|: an
+    end, at precision_bits.  error_estimate is |L_k - L_(k-1)|: an
     estimate of the error, not a bound, and it leaves out the rounding of
     that cast.  The result is converged when the estimate is at most
     DEFAULT_EPS * max(1, |L_k|); samples whose terms have no regular tail
@@ -712,7 +716,7 @@ def evaluate_accelerated(series: BinomialSeries, z) -> AcceleratedResult:
         with error_estimate inf, converged False, reason "singular".
       * otherwise L_k, reason "levin" when converged, else "unsettled".
     """
-    ctx = _context(series.precision_bits)
+    ctx = _context(precision_bits)
     zz = as_exact(z)
 
     if zz.is_integer() and zz.re >= 0:
@@ -811,13 +815,11 @@ def taylor_from_binomial(series: BinomialSeries, m_max: int,
 def binomial_from_taylor(taylor_coeffs: Sequence, n_max: int | None = None,
                          k_cut: int | None = None,
                          table: StirlingTable | None = None,
-                         precision_bits: int = DEFAULT_PRECISION_BITS,
                          origin: str = "") -> BinomialSeries:
     """a_n = sum_{k=n}^{k_cut} b_k * T2[k][n]: mirror of taylor_from_binomial.
 
     Float, complex and mpmath inputs are lifted exactly, so the result is an
-    exact series whatever the input; precision_bits is its evaluation
-    precision.
+    exact series whatever the input.
     """
     top = len(taylor_coeffs) - 1
     if k_cut is None:
@@ -829,4 +831,4 @@ def binomial_from_taylor(taylor_coeffs: Sequence, n_max: int | None = None,
     table = table or default_table()
     out = apply_table([lift(b) for b in taylor_coeffs[:k_cut + 1]],
                       table.second_kind_ints, n_max + 1)
-    return BinomialSeries(tuple(out), EXACT, origin, precision_bits)
+    return BinomialSeries(tuple(out), EXACT, origin)

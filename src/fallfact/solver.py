@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 # chi_estimate is not called here; perfbench's tracer patches it on this module
-from .analysis import (Classification, GrowthEstimate, MIN_GROWTH_COEFFS,  # noqa: F401
-                       UNKNOWN, chi_estimate, classify)
+from .analysis import (GrowthEstimate, UNKNOWN, chi_estimate,  # noqa: F401
+                       classify)
 from .errors import (DeterminacyError, InputFormatError, PoleError,
                      SingularRecurrenceError)
 from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
@@ -280,18 +280,11 @@ def formal_solve(eq: LinearDifferenceEquation,
                  free_values: Mapping[int, object],
                  n_target: int,
                  origin: str = "solver") -> tuple[BinomialSeries, GrowthEstimate]:
-    """derive -> solve -> wrap as an exact series with classify's growth verdict.
-
-    A nonzero series shorter than MIN_GROWTH_COEFFS is left unknown, with chi nan.
-    """
+    """derive -> solve -> wrap as an exact series with classify's growth verdict."""
     rec = derive_recurrence(eq)
     coeffs = solve_recurrence(rec, free_values, n_target)
-    series = exact_series(coeffs, origin)
-    if len(coeffs) >= MIN_GROWTH_COEFFS or series.is_zero():
-        cls = classify(coeffs)
-    else:
-        cls = Classification(UNKNOWN, math.nan, True, (0, n_target))
-    return series, GrowthEstimate(cls.chi, cls.window, cls)
+    cls = classify(coeffs)
+    return exact_series(coeffs, origin), GrowthEstimate(cls.chi, cls.window, cls)
 
 
 # ---------------------------------------------------------------------------

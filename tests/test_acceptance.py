@@ -192,8 +192,8 @@ def test_ac08_riccati_coefficient_and_recursion():
 def test_ac09a_newton_series_halfway_accuracy():
     # The plain sum of these 60 terms is 3.09e-4 away (see the module
     # docstring); the Levin-accelerated sum of the same terms is not.
-    s = newton_series([2 ** k for k in range(60)], precision_bits=256)
-    res = evaluate_accelerated(s, ExactScalar(Fraction(1, 2)))
+    s = newton_series([2 ** k for k in range(60)])
+    res = evaluate_accelerated(s, ExactScalar(Fraction(1, 2)), precision_bits=256)
     ctx = make_context(256)
     want = ctx.sqrt(2)
     deviation = float(abs(ctx.mpc(res.value) - want))

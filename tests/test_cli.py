@@ -4,12 +4,17 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fallfact.cli import main, parse_point
 from fallfact.errors import InputFormatError
+from fallfact.exact import lift, magnitude
+from fallfact.serialization import equation_from_json, series_from_json
+from fallfact.series import evaluate, evaluate_accelerated
+from fallfact.solver import continuation_eval
 
 
 def write_json(path, obj):
@@ -191,6 +196,16 @@ def test_analyze_short_series(tmp_path, capsys):
     assert "not estimated" in capsys.readouterr().out
 
 
+def test_solve_and_analyze_classify_a_short_zero_series_alike(tmp_path, capsys, geometric_eq):
+    # six zero coefficients: below the 16-coefficient floor, but the zero
+    # sequence is entire at any length, for both commands
+    series = solve_series(tmp_path, geometric_eq, ["0=0"], n_terms=5)
+    assert read_json(Path(series))["coeffs"] == ["0"] * 6
+    assert "classification entire" in capsys.readouterr().out.splitlines()
+    assert main(["analyze", "--series", series]) == 0
+    assert "classification entire" in capsys.readouterr().out.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # polygon
 # ---------------------------------------------------------------------------
@@ -280,6 +295,27 @@ def test_interp_samples_file_mixed_types(tmp_path):
     assert len(data["coeffs"]) == 3
 
 
+@pytest.mark.parametrize("samples, code", [
+    ([1, [True, False]], 3),
+    ([1, ["2.5", "1"]], 3),
+    ([1, [math.inf, 1.0]], 3),
+    ([1, 2.5, [1, 2]], 0),
+])
+def test_one_sample_decoder_refuses_bools_strings_and_infinities(tmp_path, capsys,
+                                                                samples, code):
+    # interp --samples, convert --taylor and the approx-series reader decode alike
+    path = write_json(tmp_path / "samples.json", samples)
+    out = str(tmp_path / "out.json")
+    assert main(["interp", "--samples", path, "--out", out]) == code
+    assert main(["convert", "--taylor", path, "--to", "binomial", "--out", out]) == code
+    approx = {"regime": "approx", "coeffs": [v for v in samples if isinstance(v, list)]}
+    if code:
+        with pytest.raises(InputFormatError):
+            series_from_json(approx)
+    else:
+        assert series_from_json(approx).coeffs == (1 + 2j,)
+
+
 def test_interp_bad_sample_is_exit_3(tmp_path, capsys):
     samples = write_json(tmp_path / "bad.json", [1, True])
     assert main(["interp", "--samples", samples]) == 3
@@ -323,7 +359,6 @@ def test_convert_series_taylor_round_trip(tmp_path, capsys, geometric_eq):
 
 @pytest.mark.parametrize("command, flag, payload", [
     ("eval", "--series", {"regime": "exact", "coeffs": "123"}),
-    ("eval", "--series", {"regime": "exact", "coeffs": ["1"], "precision_bits": 64.7}),
     ("polygon", "--equation", {"form": "delta", "coeffs": [["1"], "12"]}),
     ("convert", "--taylor", {"coeffs": "123"}),
     ("convert", "--taylor", {"coefficients": ["1"]}),
@@ -341,9 +376,10 @@ def test_convert_source_validation(tmp_path, capsys, geometric_eq):
 
 
 def test_convert_rejects_evaluation_flags(tmp_path, capsys, geometric_eq):
-    # convert evaluates nothing, so it takes no stopping tolerance or term cap
+    # convert evaluates nothing, so it takes no precision, stopping tolerance
+    # or term cap
     series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
-    for flag in (["--eps", "0.5"], ["--n-max", "1"]):
+    for flag in (["--precision-bits", "256"], ["--eps", "0.5"], ["--n-max", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(["convert", "--series", series, "--to", "taylor", *flag])
         assert exc.value.code == 3
@@ -404,6 +440,35 @@ def test_env_precision_override(tmp_path, monkeypatch, geometric_eq):
     monkeypatch.setenv("FALLFACT_PRECISION_BITS", "plenty")
     assert main(["eval", "--series", series, "--at", "2.25",
                  "--out", str(out)]) == 3
+
+
+def test_precision_comes_from_the_evaluation_not_the_file(tmp_path, capsys, geometric_eq):
+    series_path = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=60)
+    data = read_json(Path(series_path))
+    assert "precision_bits" not in data
+    # files written before the key was dropped still read, and it is ignored
+    old = write_json(tmp_path / "old.json", {**data, "precision_bits": 256})
+    series = series_from_json(read_json(Path(old)))
+    assert series == series_from_json(data)
+    csvs = []
+    for path in (series_path, old):
+        out = tmp_path / "values.csv"
+        assert main(["eval", "--series", path, "--at", "2.25", "--at", "1+2i",
+                     "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    eq = equation_from_json(read_json(Path(geometric_eq)))
+    z = Fraction(28, 3)  # right of the continuation threshold passed below
+    for run in (lambda **kw: evaluate(series, z, 1e-100, **kw),
+                lambda **kw: evaluate_accelerated(series, z, **kw),
+                lambda **kw: continuation_eval(eq, series, z, 1e-100, 5.0, **kw)):
+        reference = lift(run(precision_bits=512).value)
+        for kw, bits in (({}, 128), ({"precision_bits": 256}, 256)):
+            value = run(**kw).value
+            assert value.context.prec == bits
+            # rounded to bits bits: no coarser, and no finer
+            error = magnitude(lift(value) - reference) / magnitude(reference)
+            assert 2.0 ** -(bits + 40) < error <= 2.0 ** (4 - bits)
 
 
 def test_argparse_errors_exit_3(capsys):

@@ -165,11 +165,10 @@ def test_halfway_point_deviation_frozen():
 def test_accelerated_at_integer_points_is_the_exact_sum():
     rng = random.Random(7)
     s = newton_series([Fraction(rng.randint(-50, 50), rng.randint(1, 7))
-                       for _ in range(20)], precision_bits=256)
-    assert s.precision_bits == 256  # exact samples keep the requested precision
+                       for _ in range(20)])
     ctx = make_context(256)
     for m in range(25):
-        res = evaluate_accelerated(s, m)
+        res = evaluate_accelerated(s, m, precision_bits=256)
         assert res.reason == "integer" and res.converged
         assert res.error_estimate == 0.0
         assert res.terms_used == min(m, 19) + 1
@@ -186,11 +185,10 @@ def test_accelerated_polynomial_samples_are_exact():
         p = Polynomial(tuple(Fraction(rng.randint(-9, 9)) for _ in range(degree))
                        + (Fraction(rng.choice([-3, -2, -1, 1, 2, 3])),))
         spare = rng.randint(1, 4)
-        s = newton_series([p(k) for k in range(degree + 1 + spare)],
-                          precision_bits=256)
+        s = newton_series([p(k) for k in range(degree + 1 + spare)])
         x = ExactScalar(Fraction(rng.randint(-40, 40), rng.randint(2, 9)),
                         Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-        res = evaluate_accelerated(s, x)
+        res = evaluate_accelerated(s, x, precision_bits=256)
         assert res.value == to_mpc(p(x), ctx)
         if x.is_integer() and x.re >= 0:
             assert res.reason == "integer"
@@ -236,10 +234,10 @@ def test_accelerated_random_samples_do_not_converge():
 
 
 def test_accelerated_deviation_within_estimate_off_the_integers():
-    s = newton_series([2 ** k for k in range(60)], precision_bits=256)
+    s = newton_series([2 ** k for k in range(60)])
     ctx = make_context(256)
     for x in (Fraction(5, 4), Fraction(15, 4)):
-        res = evaluate_accelerated(s, x)
+        res = evaluate_accelerated(s, x, precision_bits=256)
         want = ctx.exp(ctx.mpf(x.numerator) / x.denominator * ctx.log(2))
         deviation = float(abs(ctx.mpc(res.value) - want))
         assert res.converged and res.reason == "levin"
@@ -254,9 +252,9 @@ def test_accelerated_estimate_below_squared_float_range():
     half = Fraction(1, 2)
     ctx = make_context(2048)
     samples = [2 ** k for k in range(200)]
-    res = evaluate_accelerated(newton_series(samples, precision_bits=2048), half)
+    res = evaluate_accelerated(newton_series(samples), half, precision_bits=2048)
     # the order-(k-1) transform is the full transform of one term fewer
-    prev = evaluate_accelerated(newton_series(samples[:-1], precision_bits=2048), half)
+    prev = evaluate_accelerated(newton_series(samples[:-1]), half, precision_bits=2048)
     diff = float(abs(ctx.mpc(res.value) - ctx.mpc(prev.value)))
     assert res.converged and res.reason == "levin"
     assert 1e-300 < diff < 1e-200
@@ -267,8 +265,8 @@ def test_accelerated_estimate_below_squared_float_range():
 def test_accelerated_edge_verdicts():
     half = Fraction(1, 2)
     # f(0) = 0: the transform starts at the first nonzero term
-    s = newton_series([k * 2 ** k for k in range(60)], precision_bits=256)
-    res = evaluate_accelerated(s, half)
+    s = newton_series([k * 2 ** k for k in range(60)])
+    res = evaluate_accelerated(s, half, precision_bits=256)
     ctx = make_context(256)
     assert res.converged
     assert float(abs(ctx.mpc(res.value) - ctx.sqrt(2) / 2)) <= res.error_estimate < 1e-6

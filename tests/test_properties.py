@@ -141,8 +141,7 @@ def _fraction_lift(c) -> ExactScalar:
 
 
 def _lifted(s: BinomialSeries) -> BinomialSeries:
-    return BinomialSeries(tuple(map(_fraction_lift, s.coeffs)), "exact", s.origin,
-                          s.precision_bits)
+    return BinomialSeries(tuple(map(_fraction_lift, s.coeffs)), "exact", s.origin)
 
 
 @PROPERTY
@@ -150,7 +149,7 @@ def _lifted(s: BinomialSeries) -> BinomialSeries:
        binary_scalars, st.integers(0, 4), st.lists(gaussian_scalars, max_size=3),
        st.one_of(gaussian_scalars, st.integers(0, 10).map(as_exact)))
 def test_approx_operations_equal_their_exact_lift(a, b, scalar, m, p, z):
-    s, t = approx_series(a, origin="samples"), approx_series(b, precision_bits=192)
+    s, t = approx_series(a, origin="samples"), approx_series(b)
     ls, lt = _lifted(s), _lifted(t)
     poly = Polynomial(tuple(p))
     assert s.is_zero() == ls.is_zero()

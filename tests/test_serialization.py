@@ -18,10 +18,10 @@ from fallfact.serialization import (EVAL_HEADER, dump_json, equation_from_json,
                                     series_from_json, series_to_json,
                                     write_eval_csv, write_profile_csv,
                                     write_residual_csv)
-from fallfact.series import approx_series, evaluate
+from fallfact.series import approx_series, evaluate, evaluate_accelerated
 from fallfact.analysis import ModulusProfile
 from fallfact.solver import (DELTA_FORM, LinearDifferenceEquation,
-                             derive_recurrence, newton_polygon)
+                             continuation_eval, derive_recurrence, newton_polygon)
 
 ORDER_HALF = LinearDifferenceEquation(DELTA_FORM, (poly(1), poly(3), poly(6, 4)))
 
@@ -51,30 +51,19 @@ def test_exact_series_round_trip():
     assert back.origin == "samples"
 
 
-def test_exact_series_keeps_precision_bits():
-    s = newton_series([1, 2, 4], precision_bits=256)
-    data = series_to_json(s)
-    assert data["precision_bits"] == 256
-    assert data["coeffs"] == ["1", "1", "1/2"]
-    back = series_from_json(json.loads(json.dumps(data)))
-    assert back.precision_bits == 256
-    assert back.coeffs == s.coeffs
-    del data["precision_bits"]  # files written before the field existed
-    assert series_from_json(data).precision_bits == 128
-
-
 def test_precision_below_53_bits_is_rejected_in_every_regime():
-    # the constructor checks once, so no series waits for its first evaluation to fail
-    for bits in (20, 52):
-        with pytest.raises(ValueError, match="precision_bits"):
-            newton_series([1, 2, 4], precision_bits=bits)
-        with pytest.raises(ValueError, match="precision_bits"):
-            approx_series([1.0, 0.5], precision_bits=bits)
-        for regime, coeffs in (("exact", ["1"]), ("approx", [[1.0, 0.0]])):
-            with pytest.raises(InputFormatError, match="precision_bits"):
-                series_from_json({"regime": regime, "coeffs": coeffs,
-                                  "precision_bits": bits})
-    assert newton_series([1, 2, 4], precision_bits=53).precision_bits == 53
+    # series carry no precision; every evaluation call checks the one it is given
+    exact = newton_series([2 ** k for k in range(20)])
+    approx = newton_series([float(2 ** k) for k in range(20)])
+    for s in (exact, approx):
+        for bits in (20, 52):
+            with pytest.raises(ValueError, match="precision_bits"):
+                evaluate(s, 0.5, precision_bits=bits)
+            with pytest.raises(ValueError, match="precision_bits"):
+                evaluate_accelerated(s, Fraction(1, 2), precision_bits=bits)
+            with pytest.raises(ValueError, match="precision_bits"):
+                continuation_eval(ORDER_HALF, s, 0.5, precision_bits=bits)
+        assert evaluate(s, 0.5, precision_bits=53).value.context.prec == 53
 
 
 def test_gaussian_rational_coefficients_survive():
@@ -85,13 +74,10 @@ def test_gaussian_rational_coefficients_survive():
 
 
 def test_approx_series_round_trip():
-    s = approx_series([complex(1.5, -0.25), complex(0, 1e-20)],
-                      precision_bits=192)
+    s = approx_series([complex(1.5, -0.25), complex(0, 1e-20)])
     data = series_to_json(s)
-    assert data["precision_bits"] == 192
     back = series_from_json(data)
     assert back.regime == "approx"
-    assert back.precision_bits == 192
     assert back.coeffs == s.coeffs  # float pairs are lossless
 
 
@@ -154,8 +140,6 @@ def test_bad_payloads_raise_input_format_error():
 
 @pytest.mark.parametrize("reader, payload", [
     (series_from_json, {"regime": "exact", "coeffs": "123"}),
-    (series_from_json, {"regime": "exact", "coeffs": ["1"], "precision_bits": 64.7}),
-    (series_from_json, {"regime": "exact", "coeffs": ["1"], "precision_bits": "128"}),
     (polynomial_from_json, "12"),
     (equation_from_json, {"form": DELTA_FORM, "coeffs": [["1"], "12"]}),
     (equation_from_json, {"form": DELTA_FORM, "coeffs": "12"}),

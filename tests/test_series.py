@@ -7,9 +7,9 @@ import pytest
 from fallfact.errors import EvaluationOverflowError
 from fallfact.exact import ExactScalar, as_exact
 from fallfact.polynomial import Polynomial, poly
-from fallfact.series import (BinomialSeries, approx_series, binomial_from_taylor,
-                             delta, evaluate, evaluate_exact, exact_series,
-                             linear_combine, make_context, mul_by_poly,
+from fallfact.series import (BinomialSeries, _SeqOperator, approx_series,
+                             binomial_from_taylor, delta, evaluate, evaluate_exact,
+                             exact_series, linear_combine, make_context, mul_by_poly,
                              mul_by_z, shift, taylor_from_binomial)
 
 
@@ -94,6 +94,21 @@ def test_mul_by_poly_pointwise():
             p = Polynomial(tuple(draw() for _ in range(rng.randint(0, 4))))
             x = rand_point(rng)
             assert evaluate_exact(mul_by_poly(s, p), x) == p(x) * evaluate_exact(s, x)
+
+
+def test_mul_by_poly_horner_equals_the_operator_polynomial():
+    # Horner in z against p(z) built as one operator and applied once
+    rng = random.Random(19)
+    for _ in range(40):
+        s = rand_series(rng, n_max=30)
+        if rng.random() < 0.3:
+            s = approx_series([complex(c) for c in s.coeffs])
+        p = Polynomial(tuple(ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                                         Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                             for _ in range(rng.randint(1, 8))))
+        op = _SeqOperator.z_multiplication().polynomial(p.coeffs)
+        want = op.apply(s, len(s.coeffs) + len(p.coeffs) - 1)
+        assert mul_by_poly(s, p) == want
 
 
 def test_linear_combine_zero_extension_and_regimes():
@@ -250,7 +265,7 @@ def test_taylor_chi_flag():
 def test_taylor_approx_regime():
     # float input converts exactly both ways: the round trip gives back the
     # lifted coefficients themselves
-    s = approx_series([1.0, 0.5, 0.25, 0.1], precision_bits=128)
+    s = approx_series([1.0, 0.5, 0.25, 0.1])
     lifted = exact_series([Fraction(c) for c in s.coeffs])
     t = taylor_from_binomial(s, 3)
     assert t.coeffs == taylor_from_binomial(lifted, 3).coeffs
@@ -265,7 +280,7 @@ def test_taylor_approx_regime():
 # evaluate in fixed point: within its rounding radius of the exact sum
 # ---------------------------------------------------------------------------
 
-def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=None,
+def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=128,
                         window=5, margins=None):
     """The ctx.mpc loop evaluate ran before the fixed-point kernel, kept as an
     oracle, with evaluate's one integer-point rule.
@@ -275,8 +290,6 @@ def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=Non
     """
     from fallfact.exact import lift, to_mpc
     from fallfact.series import OVERFLOW_EXPONENT, _exact_term_magnitude, _geometric_tail
-    if precision_bits is None:
-        precision_bits = series.precision_bits
     ctx = make_context(precision_bits)
     zz = to_mpc(z, ctx)
     top_index = len(series.coeffs) - 1
