@@ -7,14 +7,12 @@ Newton interpolation from integer samples, and numeric evaluation with
 controlled precision.
 """
 
-from .analysis import (Classification, ENTIRE, GrowthEstimate, ModulusProfile,
-                       OrderTypeFit, RIGHT_HALF_PLANE, UNKNOWN, chi_estimate,
-                       classify, fit_order_type, modulus_profile,
-                       order_from_taylor)
+from .analysis import (Classification, ENTIRE, ModulusProfile, OrderTypeFit,
+                       RIGHT_HALF_PLANE, UNKNOWN, chi_estimate, classify,
+                       fit_order_type, modulus_profile, order_from_taylor)
 from .basis import (StirlingTable, binomial_to_poly, default_table,
                     falling_factorial, poly_to_binomial, stirling_first_row,
                     stirling_second_row, verify_stirling_bounds)
-from .config import RunConfig, from_env
 from .errors import (DeterminacyError, EvaluationOverflowError, FallfactError,
                      InputFormatError, MathematicalObstruction,
                      NumericalFailure, PoleError, SingularRecurrenceError)

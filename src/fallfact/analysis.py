@@ -8,6 +8,11 @@ whose limsup is the convergence exponent chi of the binomial series.  A sum
 with chi < 1 defines an entire function of order chi; |a_n| <= K/n! gives
 convergence on the right half plane.  The classifier reports raw numbers
 next to every verdict, never a bare label.
+
+classify is the one place a growth verdict is formed.  formal_solve returns
+its Classification and keeps it on the solved series, where
+continuation_eval and taylor_from_binomial read it instead of estimating
+again; the CLI's solve and analyze print it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ RIGHT_HALF_PLANE = "right-half-plane"
 UNKNOWN = "unknown"
 
 MIN_GROWTH_COEFFS = 16  # fewest coefficients a window estimate is taken from
+_ENTIRE_MARGIN = 0.1  # an entire verdict needs chi < 1 - _ENTIRE_MARGIN
 
 
 def _abs_squared_ints(a: ExactScalar) -> tuple[int, int]:
@@ -176,18 +182,18 @@ class Classification:
     k_index: int | None = None    # first index attaining the bound
 
 
-def classify(coeffs: Sequence, margin: float = 0.1,
-             window_fraction: float = 0.5) -> Classification:
-    """Entire if chi < 1 - margin; else right-half-plane when |a_n| n! peaks
-    early (before the last quartile); else unknown.  Raw numbers included:
-    chi, whether it is undefined, and the window it was estimated over.  A
-    nonzero sequence shorter than MIN_GROWTH_COEFFS is unknown with chi nan."""
+def classify(coeffs: Sequence, window_fraction: float = 0.5) -> Classification:
+    """Entire if chi < 1 - _ENTIRE_MARGIN; else right-half-plane when
+    |a_n| n! peaks early (before the last quartile); else unknown.  Raw
+    numbers included: chi, whether it is undefined, and the window it was
+    estimated over.  A nonzero sequence shorter than MIN_GROWTH_COEFFS is
+    unknown with chi nan."""
     if len(coeffs) < MIN_GROWTH_COEFFS and not all(lift(c).is_zero() for c in coeffs):
         return Classification(UNKNOWN, math.nan, True, (0, len(coeffs) - 1))
     est = chi_estimate(coeffs, window_fraction)
     if est.zero_sequence:
         return Classification(ENTIRE, 0.0, False, est.window)
-    if not est.undefined and est.value < 1.0 - margin:
+    if not est.undefined and est.value < 1.0 - _ENTIRE_MARGIN:
         return Classification(ENTIRE, est.value, False, est.window)
 
     log_best, best_idx = _exact_peak_of_an_nfact(coeffs)
@@ -315,10 +321,3 @@ def fit_order_type(profile: ModulusProfile) -> OrderTypeFit:
               for r, m, ok in zip(profile.radii, profile.max_modulus, profile.valid)
               if ok and m is not None and math.isfinite(m) and m > 1.0)
     return OrderTypeFit(rho, tau, tuple(used))
-
-
-@dataclass(frozen=True)
-class GrowthEstimate:
-    chi_estimate: float
-    chi_window: tuple[int, int]
-    classification: Classification

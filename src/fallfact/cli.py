@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 mathematical obstruction (pole, singular
 recurrence), 3 input error, 4 numerical failure.  argparse usage errors are
 remapped from its default of 2 to 3 so that 2 stays meaningful.
+
+The commands that evaluate (eval, analyze, riccati verify, continue-eval)
+take --precision-bits, --eps and --n-max, defaulting to the series module's
+defaults; those flags are the only numeric settings of a run.  Out-of-range
+values (precision < 53, eps not > 0, n_max < 16) exit 3 before any work.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import sys
 from contextlib import contextmanager
 from typing import IO, Iterator
 
-from . import config
 # chi_estimate is not called here; perfbench's tracer patches it on this module
 from .analysis import (MIN_GROWTH_COEFFS, chi_estimate, classify,  # noqa: F401
                        fit_order_type, modulus_profile)
@@ -29,7 +33,8 @@ from .serialization import (decode_sample, dump_json, equation_from_json,
                             polynomial_to_json, recurrence_to_json,
                             series_from_json, series_to_json, write_eval_csv,
                             write_profile_csv, write_residual_csv)
-from .series import (BinomialSeries, binomial_from_taylor, evaluate,
+from .series import (DEFAULT_EPS, DEFAULT_N_MAX, DEFAULT_PRECISION_BITS,
+                     BinomialSeries, binomial_from_taylor, evaluate,
                      taylor_from_binomial)
 from .solver import (LinearDifferenceEquation, candidate_orders,
                      continuation_eval, derive_recurrence, formal_solve,
@@ -121,8 +126,13 @@ def _collect_points(args) -> list[complex]:
     return pts
 
 
-def _resolved(args) -> config.RunConfig:
-    return config.resolve(config.from_env(), args.precision_bits, args.eps, args.n_max)
+def _check_numeric_flags(args) -> None:
+    if args.precision_bits < 53:
+        raise InputFormatError("precision_bits must be >= 53")
+    if not args.eps > 0:  # NaN too
+        raise InputFormatError("eps must be positive")
+    if args.n_max < 16:
+        raise InputFormatError("n_max must be >= 16")
 
 
 def _print_growth(series: BinomialSeries, window_fraction: float) -> None:
@@ -154,10 +164,10 @@ def cmd_solve(args) -> int:
     for row in rec.prefix_constraints:
         terms = " + ".join(f"({c})*a{j}" for j, c in enumerate(row) if not c.is_zero())
         print(f"constraint: {terms} = 0")
-    series, growth = formal_solve(eq, free, args.n_terms)
-    if not math.isnan(growth.chi_estimate):
-        print(f"chi_estimate {growth.chi_estimate:.12g}")
-    print(f"classification {growth.classification.kind}")
+    series, cls = formal_solve(eq, free, args.n_terms)
+    if not math.isnan(cls.chi):
+        print(f"chi_estimate {cls.chi:.12g}")
+    print(f"classification {cls.kind}")
     payload = series_to_json(series)
     payload["recurrence"] = recurrence_to_json(rec)
     with _out_stream(args.out) as fh:
@@ -167,13 +177,12 @@ def cmd_solve(args) -> int:
 
 def cmd_eval(args) -> int:
     series = _load_series(args.series)
-    cfg = _resolved(args)
     pts = _collect_points(args)
     rows = []
     bad = None
     for z in pts:
-        res = evaluate(series, z, cfg.eps, cfg.n_max,
-                       precision_bits=cfg.precision_bits)
+        res = evaluate(series, z, args.eps, args.n_max,
+                       precision_bits=args.precision_bits)
         if not res.converged and bad is None:
             bad = z
         rows.append((z, res))
@@ -187,15 +196,14 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     series = _load_series(args.series)
-    cfg = _resolved(args)
     _print_growth(series, args.window_fraction)
     if not args.fit:
         return 0
     radii = [float(r) for r in args.radii]
 
     def evaluator(z):
-        return evaluate(series, z, cfg.eps, cfg.n_max,
-                        precision_bits=cfg.precision_bits)
+        return evaluate(series, z, args.eps, args.n_max,
+                        precision_bits=args.precision_bits)
 
     profile = modulus_profile(evaluator, radii, args.samples)
     for r, m, ok in zip(profile.radii, profile.max_modulus, profile.valid):
@@ -235,7 +243,6 @@ def cmd_riccati_coefficient(args) -> int:
 
 
 def cmd_riccati_verify(args) -> int:
-    cfg = _resolved(args)
     inst = riccati_instance(args.a, args.b, args.c)
     free = _parse_free(args.free or [])
     series, _ = formal_solve(inst.equation, free, args.n_terms)
@@ -243,10 +250,10 @@ def cmd_riccati_verify(args) -> int:
         [complex(1.5 + k) for k in range(6)]
 
     def evaluator(z):
-        return evaluate(series, z, cfg.eps, cfg.n_max,
-                        precision_bits=cfg.precision_bits).value
+        return evaluate(series, z, args.eps, args.n_max,
+                        precision_bits=args.precision_bits).value
 
-    report = verify_riccati(inst, evaluator, pts, args.tol, cfg.precision_bits)
+    report = verify_riccati(inst, evaluator, pts, args.tol, args.precision_bits)
     print(f"A(z) = {inst.coefficient}")
     for z, resid in zip(report.points, report.residuals):
         print(f"residual at {z:g}: {resid:.3e}")
@@ -304,8 +311,9 @@ def cmd_convert(args) -> int:
         tc = taylor_from_binomial(series, m_max, args.k_cut)
         coeffs = [str(c) for c in tc.coeffs]
         if tc.chi_flagged:
-            print("warning: growth estimate >= 1; Taylor conversion is formal",
-                  file=sys.stderr)
+            why = ("growth estimate >= 1" if tc.chi_value is not None else
+                   f"growth not estimated (needs >= {MIN_GROWTH_COEFFS} coefficients)")
+            print(f"warning: {why}; Taylor conversion is formal", file=sys.stderr)
         with _out_stream(args.out) as fh:
             dump_json({"coeffs": coeffs, "chi_flagged": tc.chi_flagged,
                        "chi_value": tc.chi_value}, fh)
@@ -327,14 +335,13 @@ def cmd_convert(args) -> int:
 def cmd_continue_eval(args) -> int:
     eq = _load_equation(args.equation)
     series = _load_series(args.series)
-    cfg = _resolved(args)
     pts = _collect_points(args)
     failed = False
     for z in pts:
-        res = continuation_eval(eq, series, z, cfg.eps,
+        res = continuation_eval(eq, series, z, args.eps,
                                 re_threshold=args.threshold,
-                                n_max=cfg.n_max,
-                                precision_bits=cfg.precision_bits)
+                                n_max=args.n_max,
+                                precision_bits=args.precision_bits)
         v = complex(res.value)
         flag = "ok" if res.converged else "non-converged"
         failed = failed or not res.converged
@@ -367,11 +374,12 @@ def cmd_seed_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision-bits", type=int, default=None,
-                   help="working precision (>= 53); FALLFACT_PRECISION_BITS "
-                        "applies when the flag is absent")
-    p.add_argument("--eps", type=float, default=None, help="stopping tolerance")
-    p.add_argument("--n-max", type=int, default=None, help="evaluation term cap")
+    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS,
+                   help="working precision (>= 53)")
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
+                   help="stopping tolerance (> 0)")
+    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
+                   help="evaluation term cap (>= 16)")
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
@@ -492,6 +500,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "precision_bits"):  # the commands that evaluate
+            _check_numeric_flags(args)
         return args.handler(args)
     except MathematicalObstruction as exc:
         print(f"fallfact: {exc}", file=sys.stderr)

@@ -34,9 +34,9 @@ the functions that need it, so code that evaluates nothing never loads it.
 What repeated calls share lives on the series: a private memo of values
 derived from the coefficients alone, chiefly the exact image, the
 coefficients' fixed-point mantissas (one prefix per precision) and their
-integer numerators for exact sums at integer points.  Those are immutable
-plain integers, so evaluation stays re-entrant; each coefficient is cast at
-most once per precision.
+integer numerators for exact sums at integer points, and classify's growth
+verdict.  Those are immutable values, so evaluation stays re-entrant; each
+coefficient is cast at most once per precision.
 """
 
 from __future__ import annotations
@@ -778,8 +778,10 @@ def _levin(ratios: Sequence, inverses: Sequence, n0: int, k: int):
 @dataclass(frozen=True)
 class TaylorCoefficients:
     coeffs: tuple
-    chi_flagged: bool  # True when the source's growth estimate is >= 1 (conversion conditional)
-    chi_value: float | None = None
+    # True when the source's growth estimate is >= 1 or was not taken
+    # (too few coefficients): the conversion is then conditional
+    chi_flagged: bool
+    chi_value: float | None = None  # None when not estimated
 
 
 def taylor_from_binomial(series: BinomialSeries, m_max: int,
@@ -789,7 +791,8 @@ def taylor_from_binomial(series: BinomialSeries, m_max: int,
 
     Exact for either regime: the sums run on the coefficients' exact image.
     The inner sums are only absolutely convergent when the source decays
-    fast enough (growth estimate below 1); otherwise the result is flagged
+    fast enough (classify's growth estimate below 1); otherwise, or when
+    there are too few coefficients to estimate it, the result is flagged
     but still returned, truncated at k_cut.
     """
     if m_max < 0:
@@ -802,14 +805,10 @@ def taylor_from_binomial(series: BinomialSeries, m_max: int,
     table = table or default_table()
     out = apply_table(series._exact_coeffs[:k_cut + 1], table.first_kind_ints, m_max + 1)
 
-    flagged = False
-    chi_val: float | None = None
-    from .analysis import MIN_GROWTH_COEFFS, chi_estimate  # keeps analysis series-free
-    if len(series.coeffs) >= MIN_GROWTH_COEFFS:
-        est = chi_estimate(series.coeffs)
-        chi_val = est.value
-        flagged = est.undefined or est.value >= 1.0
-    return TaylorCoefficients(tuple(out), flagged, chi_val)
+    from .analysis import classify  # keeps analysis series-free
+    cls = series._memoized("classify", lambda: classify(series.coeffs))
+    return TaylorCoefficients(tuple(out), cls.chi_undefined or cls.chi >= 1.0,
+                              None if math.isnan(cls.chi) else cls.chi)
 
 
 def binomial_from_taylor(taylor_coeffs: Sequence, n_max: int | None = None,

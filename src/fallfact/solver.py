@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 # chi_estimate is not called here; perfbench's tracer patches it on this module
-from .analysis import (GrowthEstimate, UNKNOWN, chi_estimate,  # noqa: F401
+from .analysis import (Classification, UNKNOWN, chi_estimate,  # noqa: F401
                        classify)
 from .errors import (DeterminacyError, InputFormatError, PoleError,
                      SingularRecurrenceError)
@@ -279,12 +279,12 @@ def solve_recurrence(rec: CoefficientRecurrence,
 def formal_solve(eq: LinearDifferenceEquation,
                  free_values: Mapping[int, object],
                  n_target: int,
-                 origin: str = "solver") -> tuple[BinomialSeries, GrowthEstimate]:
-    """derive -> solve -> wrap as an exact series with classify's growth verdict."""
+                 origin: str = "solver") -> tuple[BinomialSeries, Classification]:
+    """derive -> solve -> wrap as an exact series, with classify's growth
+    verdict, which stays memoized on the series for later callers."""
     rec = derive_recurrence(eq)
-    coeffs = solve_recurrence(rec, free_values, n_target)
-    cls = classify(coeffs)
-    return exact_series(coeffs, origin), GrowthEstimate(cls.chi, cls.window, cls)
+    series = exact_series(solve_recurrence(rec, free_values, n_target), origin)
+    return series, series._memoized("classify", lambda: classify(series.coeffs))
 
 
 # ---------------------------------------------------------------------------

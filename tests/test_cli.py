@@ -357,6 +357,28 @@ def test_convert_series_taylor_round_trip(tmp_path, capsys, geometric_eq):
     assert read_json(back)["coeffs"] == read_json(tmp_path / "series.json")["coeffs"]
 
 
+def test_convert_flags_a_series_too_short_to_estimate_growth(tmp_path, capsys,
+                                                             factorial_eq):
+    short = solve_series(tmp_path, factorial_eq, ["0=1"], n_terms=9)
+    assert "classification unknown" in capsys.readouterr().out
+    taylor = tmp_path / "taylor.json"
+    assert main(["convert", "--series", short, "--to", "taylor",
+                 "--out", str(taylor)]) == 0
+    assert capsys.readouterr().err == ("warning: growth not estimated (needs >= 16 "
+                                       "coefficients); Taylor conversion is formal\n")
+    data = read_json(taylor)
+    assert data["chi_flagged"] is True and data["chi_value"] is None
+    # from 16 coefficients on, the estimate is taken and printed as before
+    longer = solve_series(tmp_path, factorial_eq, ["0=1"], n_terms=15, name="s16.json")
+    capsys.readouterr()
+    assert main(["convert", "--series", longer, "--to", "taylor",
+                 "--out", str(taylor)]) == 0
+    assert capsys.readouterr().err == \
+        "warning: growth estimate >= 1; Taylor conversion is formal\n"
+    data = read_json(taylor)
+    assert data["chi_flagged"] is True and 1.5 < data["chi_value"] < 1.6
+
+
 @pytest.mark.parametrize("command, flag, payload", [
     ("eval", "--series", {"regime": "exact", "coeffs": "123"}),
     ("polygon", "--equation", {"form": "delta", "coeffs": [["1"], "12"]}),
@@ -412,7 +434,7 @@ def test_continue_eval_pole_is_exit_2(tmp_path, capsys, factorial_eq):
 
 
 # ---------------------------------------------------------------------------
-# seed-examples, environment, argparse behaviour
+# seed-examples, numeric flags, argparse behaviour
 # ---------------------------------------------------------------------------
 
 def test_seed_examples_writes_loadable_equations(tmp_path, capsys):
@@ -428,18 +450,47 @@ def test_seed_examples_writes_loadable_equations(tmp_path, capsys):
         assert main(["polygon", "--equation", str(target / name)]) == 0
 
 
-def test_env_precision_override(tmp_path, monkeypatch, geometric_eq):
+@pytest.mark.parametrize("flag", [["--precision-bits", "52"], ["--eps", "0"],
+                                  ["--eps", "nan"], ["--n-max", "3"]],
+                         ids=["precision-bits-52", "eps-0", "eps-nan", "n-max-3"])
+@pytest.mark.parametrize("command", ["eval", "analyze", "analyze-fit",
+                                     "riccati-verify", "continue-eval"])
+def test_out_of_range_numeric_flag_is_exit_3_before_any_work(tmp_path, capsys,
+                                                             geometric_eq, command, flag):
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
+    out = tmp_path / "out.csv"
+    argv = {
+        "eval": ["eval", "--series", series, "--at", "2.25", "--out", str(out)],
+        "analyze": ["analyze", "--series", series],
+        "analyze-fit": ["analyze", "--series", series, "--fit", "--profile-out", str(out)],
+        "riccati-verify": ["riccati", "verify", "--a", "4", "--b", "6", "--c", "3",
+                           "--free", "0=1", "--free", "1=-1/2", "--n-terms", "20",
+                           "--out", str(out)],
+        "continue-eval": ["continue-eval", "--equation", geometric_eq,
+                          "--series", series, "--at", "-2"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + flag) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fallfact: ")
+    assert not out.exists()
+
+
+def test_precision_environment_variable_changes_nothing(tmp_path, monkeypatch, geometric_eq):
     series = solve_series(tmp_path, geometric_eq, ["0=1"])
-    out = tmp_path / "v.csv"
-    monkeypatch.setenv("FALLFACT_PRECISION_BITS", "256")
-    assert main(["eval", "--series", series, "--at", "2.25",
-                 "--out", str(out)]) == 0
-    monkeypatch.setenv("FALLFACT_PRECISION_BITS", "40")
-    assert main(["eval", "--series", series, "--at", "2.25",
-                 "--out", str(out)]) == 3
-    monkeypatch.setenv("FALLFACT_PRECISION_BITS", "plenty")
-    assert main(["eval", "--series", series, "--at", "2.25",
-                 "--out", str(out)]) == 3
+    argv = ["eval", "--series", series, "--at", "2.25", "--at", "1+2i", "--out"]
+    monkeypatch.delenv("FALLFACT_PRECISION_BITS", raising=False)
+    assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+    # absent flags mean the series module's defaults
+    assert main(argv + [str(tmp_path / "flags.csv"), "--precision-bits", "128",
+                        "--eps", "1e-12", "--n-max", "10000"]) == 0
+    assert (tmp_path / "flags.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    for bits in ("40", "256"):
+        monkeypatch.setenv("FALLFACT_PRECISION_BITS", bits)
+        assert main(argv + [str(tmp_path / f"env{bits}.csv")]) == 0
+        assert (tmp_path / f"env{bits}.csv").read_bytes() == \
+            (tmp_path / "plain.csv").read_bytes()
 
 
 def test_precision_comes_from_the_evaluation_not_the_file(tmp_path, capsys, geometric_eq):

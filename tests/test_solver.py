@@ -9,7 +9,8 @@ from fallfact.errors import (DeterminacyError, InputFormatError, PoleError,
                              SingularRecurrenceError)
 from fallfact.exact import ONE, ZERO, as_exact
 from fallfact.polynomial import Polynomial, poly
-from fallfact.series import delta, evaluate, exact_series, linear_combine, mul_by_poly
+from fallfact.series import (delta, evaluate, exact_series, linear_combine, mul_by_poly,
+                             taylor_from_binomial)
 from fallfact.solver import (DELTA_FORM, SHIFT_FORM, CoefficientRecurrence,
                              LinearDifferenceEquation, candidate_orders,
                              continuation_eval, default_re_threshold,
@@ -195,16 +196,17 @@ def test_singular_recurrence():
 
 
 def test_formal_solve_growth_verdicts():
-    s, est = formal_solve(ORDER_HALF, {0: 1, 1: Fraction(-1, 2)}, 400)
-    assert est.classification.kind == ENTIRE
-    assert 0.5 < est.chi_estimate < 0.55
-    _, est2 = formal_solve(FACTORIAL, {0: 1}, 400)
-    assert est2.classification.kind == RIGHT_HALF_PLANE
-    _, est3 = formal_solve(GEOMETRIC, {0: 1}, 10)
-    assert est3.classification.kind == UNKNOWN  # too few coefficients
-    z, est4 = formal_solve(GEOMETRIC, {0: 0}, 30)
+    s, cls = formal_solve(ORDER_HALF, {0: 1, 1: Fraction(-1, 2)}, 400)
+    assert cls.kind == ENTIRE
+    assert 0.5 < cls.chi < 0.55
+    _, cls2 = formal_solve(FACTORIAL, {0: 1}, 400)
+    assert cls2.kind == RIGHT_HALF_PLANE
+    _, cls3 = formal_solve(GEOMETRIC, {0: 1}, 10)
+    assert cls3.kind == UNKNOWN  # too few coefficients
+    assert math.isnan(cls3.chi)
+    z, cls4 = formal_solve(GEOMETRIC, {0: 0}, 30)
     assert z.is_zero()
-    assert est4.classification.kind == ENTIRE
+    assert cls4.kind == ENTIRE
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +365,9 @@ def test_formal_solve_estimates_chi_once(monkeypatch):
     for eq, free in ((ORDER_HALF, {0: 1, 1: Fraction(-1, 2)}), (FACTORIAL, {0: 1}),
                      (GEOMETRIC, {0: 1}), (GEOMETRIC, {0: 0})):
         del calls[:]
-        s, est = formal_solve(eq, free, 80)
+        s, cls = formal_solve(eq, free, 80)
+        taylor_from_binomial(s, 10)  # reads the verdict formal_solve kept
         assert calls == [81]
         chi = chi_estimate(s.coeffs)
-        assert (est.chi_estimate, est.chi_window) == (chi.value, chi.window)
-        assert est.classification == classify(s.coeffs)
+        assert (cls.chi, cls.window) == (chi.value, chi.window)
+        assert cls == classify(s.coeffs)
