@@ -20,9 +20,9 @@ from .exact import ExactScalar, as_exact
 from .interp import (InterpolationReport, SampleTable, forward_differences,
                      newton_series, reconstruct_check)
 from .polynomial import Polynomial, RationalFunction, format_poly, poly
-from .riccati import (RiccatiInstance, RiccatiReport, g_step_check,
-                      moebius_step, riccati_coefficient, riccati_equation,
-                      riccati_instance, riccati_transform, verify_riccati)
+from .riccati import (RiccatiInstance, g_step_check, moebius_step,
+                      riccati_coefficient, riccati_equation, riccati_instance,
+                      riccati_transform, verify_riccati)
 from .series import (AcceleratedResult, BinomialSeries, EvaluationResult,
                      TaylorCoefficients, approx_series, binomial_from_taylor,
                      delta, evaluate, evaluate_accelerated, evaluate_exact,

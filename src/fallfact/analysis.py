@@ -265,17 +265,20 @@ def modulus_profile(evaluator: Callable, radii: Sequence[float],
                     samples_per_circle: int = 64) -> ModulusProfile:
     """M(r) = max |Y(z)| over equally spaced angles on |z| = r.
 
-    The negative real axis is always included: for real-coefficient series
-    of positive order that is where the modulus typically peaks.
+    The negative real axis is always included, once: for real-coefficient
+    series of positive order that is where the modulus typically peaks.  An
+    even count takes theta = pi exactly at k = s/2; an odd one adds it.
     A circle with any non-converged evaluation is marked invalid.
     """
-    if samples_per_circle < 1:
+    s = samples_per_circle
+    if s < 1:
         raise ValueError("need at least one sample per circle")
+    angles = [math.pi if 2 * k == s else 2.0 * math.pi * k / s for k in range(s)]
+    if s % 2:
+        angles.append(math.pi)
     maxima: list[float | None] = []
     valid: list[bool] = []
     for r in radii:
-        angles = [2.0 * math.pi * k / samples_per_circle for k in range(samples_per_circle)]
-        angles.append(math.pi)
         best = 0.0
         ok = True
         for theta in angles:

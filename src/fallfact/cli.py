@@ -314,9 +314,9 @@ def cmd_convert(args) -> int:
             why = ("growth estimate >= 1" if tc.chi_value is not None else
                    f"growth not estimated (needs >= {MIN_GROWTH_COEFFS} coefficients)")
             print(f"warning: {why}; Taylor conversion is formal", file=sys.stderr)
-        with _out_stream(args.out) as fh:
+        with _out_stream(args.out) as fh:  # JSON has no Infinity: undefined chi is null
             dump_json({"coeffs": coeffs, "chi_flagged": tc.chi_flagged,
-                       "chi_value": tc.chi_value}, fh)
+                       "chi_value": None if tc.chi_value == math.inf else tc.chi_value}, fh)
         return 0
     if args.to != "binomial":
         raise InputFormatError("--taylor converts with --to binomial")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .errors import InputFormatError
 from .exact import (ExactScalar, from_numerators, integer_numerators, lift,
                     magnitude)
 # evaluate and make_context are not called here; they stay importable
@@ -76,7 +77,8 @@ def newton_series(samples, origin: str = "interpolation") -> BinomialSeries:
 
     Exact samples give an exact-regime series; float or complex samples give
     an approx-regime series (the triangle is still computed exactly, so the
-    only rounding is the final cast).  The triangle runs on integer
+    only rounding is the final cast, and a coefficient beyond the float range
+    is an InputFormatError).  The triangle runs on integer
     numerators over the samples' common denominator, keeping one row at a
     time.
     """
@@ -91,10 +93,13 @@ def newton_series(samples, origin: str = "interpolation") -> BinomialSeries:
     for n, (re, im) in enumerate(leading):
         if n:
             fact *= n
-        coeffs.append(from_numerators(re, im, den * fact))
-    if exact:
-        return BinomialSeries(tuple(coeffs), EXACT, origin)
-    return BinomialSeries(tuple(complex(c) for c in coeffs), APPROX, origin)
+        c = from_numerators(re, im, den * fact)
+        try:
+            coeffs.append(c if exact else complex(c))
+        except OverflowError:
+            raise InputFormatError(f"Newton coefficient a{n} is beyond the float "
+                                   "range; give exact samples") from None
+    return BinomialSeries(tuple(coeffs), EXACT if exact else APPROX, origin)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .polynomial import Polynomial, RationalFunction
 # make_context is not called here; it stays importable because perfbench's
 # tracer patches it on this module
 from .series import DEFAULT_PRECISION_BITS, _context, make_context  # noqa: F401
-from .solver import DELTA_FORM, LinearDifferenceEquation
+from .solver import DELTA_FORM, LinearDifferenceEquation, VerificationReport, _report
 
 # breakdown guards for the verification routines
 _DENOMINATOR_FLOOR = 0.1   # stay away from poles of A and of the transform
@@ -96,12 +96,19 @@ def riccati_transform(instance: RiccatiInstance, evaluator: Callable, z,
     denominator 2P(z) - c is too small to divide by.
     """
     ctx = _context(precision_bits)
-    zz = to_mpc(z, ctx)
-    y0 = ctx.mpc(evaluator(zz))
-    y1 = ctx.mpc(evaluator(zz + 1))
+    return _transform(instance, ctx, lambda w: ctx.mpc(evaluator(w)), to_mpc(z, ctx))
+
+
+def _ratio(ctx, y: Callable, zz):
+    """u(z) = delta y / y; PoleError where |y(z)| < 10^-(dps/2)."""
+    y0, y1 = y(zz), y(zz + 1)
     if abs(y0) < ctx.mpf(10) ** (-(ctx.dps // 2)):
         raise PoleError(complex(zz))
-    u = (y1 - y0) / y0
+    return (y1 - y0) / y0
+
+
+def _transform(instance: RiccatiInstance, ctx, y: Callable, zz):
+    u = _ratio(ctx, y, zz)
     p2c = instance.normalizer().eval_numeric(zz, ctx)  # 2P(z) - c
     if abs(p2c) < _DENOMINATOR_FLOOR:
         raise PoleError(complex(zz))
@@ -109,19 +116,9 @@ def riccati_transform(instance: RiccatiInstance, evaluator: Callable, z,
     return -((p2c + c_val) * u + c_val) / p2c  # 2P = p2c + c
 
 
-@dataclass(frozen=True)
-class RiccatiReport:
-    points: tuple            # points actually verified
-    residuals: tuple[float, ...]
-    skipped: tuple           # (point, reason) pairs near breakdown sets
-    max_residual: float
-    eps: float | None
-    passed: bool | None
-
-
 def verify_riccati(instance: RiccatiInstance, evaluator: Callable,
                    points: Sequence, eps: float | None = None,
-                   precision_bits: int = DEFAULT_PRECISION_BITS) -> RiccatiReport:
+                   precision_bits: int = DEFAULT_PRECISION_BITS) -> VerificationReport:
     """Absolute residual |f(z+1)(1 - f(z)) - f(z) - A(z)| pointwise.
 
     Points too close to poles of A, to zeros of the solution, or to the
@@ -130,13 +127,12 @@ def verify_riccati(instance: RiccatiInstance, evaluator: Callable,
     """
     ctx = _context(precision_bits)
 
-    def residual(zz):
-        den_a = instance.coefficient.den.eval_numeric(zz, ctx)
-        if abs(den_a) < _DENOMINATOR_FLOOR:
+    def residual(zz, y):
+        if abs(instance.coefficient.den.eval_numeric(zz, ctx)) < _DENOMINATOR_FLOOR:
             return "near pole of A"
         try:
-            f0 = riccati_transform(instance, evaluator, zz, precision_bits)
-            f1 = riccati_transform(instance, evaluator, zz + 1, precision_bits)
+            f0 = _transform(instance, ctx, y, zz)
+            f1 = _transform(instance, ctx, y, zz + 1)
         except PoleError:
             return "transform breakdown"
         if abs(1 - f0) < _TRANSFORM_FLOOR:
@@ -144,12 +140,12 @@ def verify_riccati(instance: RiccatiInstance, evaluator: Callable,
         a_val = instance.coefficient.eval_numeric(zz, ctx)
         return float(abs(f1 * (1 - f0) - f0 - a_val))
 
-    return _report(ctx, points, residual, eps)
+    return _report(ctx, points, residual, evaluator, eps)
 
 
 def g_step_check(instance: RiccatiInstance, evaluator: Callable,
                  points: Sequence, eps: float | None = None,
-                 precision_bits: int = DEFAULT_PRECISION_BITS) -> RiccatiReport:
+                 precision_bits: int = DEFAULT_PRECISION_BITS) -> VerificationReport:
     """Check the raw first-order recursion for g = -delta y / y:
 
         g(z+1) (az+b)(1 - g(z)) = 1 + (az+b-c) g(z).
@@ -159,19 +155,11 @@ def g_step_check(instance: RiccatiInstance, evaluator: Callable,
     ctx = _context(precision_bits)
     a_poly = instance.shifted_argument()
     c_val = to_mpc(instance.c, ctx)
-    tiny = ctx.mpf(10) ** (-(ctx.dps // 2))
 
-    def g_at(w):
-        y0 = ctx.mpc(evaluator(w))
-        y1 = ctx.mpc(evaluator(w + 1))
-        if abs(y0) < tiny:
-            raise PoleError(complex(w))
-        return -(y1 - y0) / y0
-
-    def residual(zz):
+    def residual(zz, y):
         try:
-            g0 = g_at(zz)
-            g1 = g_at(zz + 1)
+            g0 = -_ratio(ctx, y, zz)
+            g1 = -_ratio(ctx, y, zz + 1)
         except PoleError:
             return "zero of the solution"
         azb = a_poly.eval_numeric(zz, ctx)
@@ -180,22 +168,4 @@ def g_step_check(instance: RiccatiInstance, evaluator: Callable,
         scale = max(ctx.mpf(1), abs(lhs), abs(rhs))
         return float(abs(lhs - rhs) / scale)
 
-    return _report(ctx, points, residual, eps)
-
-
-def _report(ctx, points: Sequence, residual: Callable, eps: float | None) -> RiccatiReport:
-    """residual(z) at each point cast into ctx: a float, or why z is skipped."""
-    used: list = []
-    residuals: list[float] = []
-    skipped: list = []
-    for z in points:
-        zz = to_mpc(z, ctx)
-        outcome = residual(zz)
-        if isinstance(outcome, str):
-            skipped.append((complex(zz), outcome))
-        else:
-            residuals.append(outcome)
-            used.append(complex(zz))
-    worst = max(residuals, default=0.0)
-    return RiccatiReport(tuple(used), tuple(residuals), tuple(skipped), worst,
-                         eps, None if eps is None else worst < eps)
+    return _report(ctx, points, residual, evaluator, eps)

@@ -154,7 +154,7 @@ def polygon_from_json(data: dict) -> NewtonPolygon:
 
 
 def dump_json(obj: dict, fh: IO[str]) -> None:
-    json.dump(obj, fh, indent=2)
+    json.dump(obj, fh, indent=2, allow_nan=False)  # RFC 8259: no NaN or Infinity
     fh.write("\n")
 
 

@@ -16,6 +16,7 @@ yields polynomials q_i(n) plus a finite block of low-index equations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -429,11 +430,33 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
 
 @dataclass(frozen=True)
 class VerificationReport:
-    points: tuple
+    points: tuple            # points verified, cast to the working precision
     residuals: tuple[float, ...]
+    skipped: tuple           # (point, reason) pairs the residual declined
     max_residual: float
     eps: float | None
-    passed: bool | None
+    passed: bool | None      # None without eps or without a verified point
+
+
+def _report(ctx, points: Sequence, residual: Callable, evaluator: Callable,
+            eps: float | None) -> VerificationReport:
+    """residual(zz, y) at each point zz cast into ctx: a float, or why zz is
+    skipped.  y(w) evaluates lazily, once per distinct w in the call."""
+    y = functools.cache(lambda w: ctx.mpc(evaluator(w)))
+    used: list = []
+    residuals: list[float] = []
+    skipped: list = []
+    for z in points:
+        zz = to_mpc(z, ctx)
+        outcome = residual(zz, y)
+        if isinstance(outcome, str):
+            skipped.append((complex(zz), outcome))
+        else:
+            residuals.append(outcome)
+            used.append(complex(zz))
+    worst = max(residuals, default=0.0)
+    return VerificationReport(tuple(used), tuple(residuals), tuple(skipped), worst,
+                              eps, None if eps is None or not residuals else worst < eps)
 
 
 def verify_solution(eq: LinearDifferenceEquation,
@@ -448,18 +471,12 @@ def verify_solution(eq: LinearDifferenceEquation,
     """
     shift_eq = to_shift_form(eq)
     ctx = _context(precision_bits)
-    residuals: list[float] = []
-    for z in points:
-        zz = to_mpc(z, ctx)
-        terms = []
-        for j in range(shift_eq.order + 1):
-            bj = shift_eq.coefficient(j)
-            if bj.is_zero():
-                continue
-            terms.append(bj.eval_numeric(zz, ctx) * ctx.mpc(evaluator(zz + j)))
+
+    def residual(zz, y):
+        terms = [bj.eval_numeric(zz, ctx) * y(zz + j)
+                 for j, bj in enumerate(shift_eq.coeffs) if not bj.is_zero()]
         scale = max((abs(t) for t in terms), default=ctx.mpf(0))
         total = abs(sum(terms, ctx.mpc(0)))
-        residuals.append(float(total / scale) if scale > 0 else 0.0)
-    worst = max(residuals, default=0.0)
-    return VerificationReport(tuple(points), tuple(residuals), worst, eps,
-                              None if eps is None else worst < eps)
+        return float(total / scale) if scale > 0 else 0.0
+
+    return _report(ctx, points, residual, evaluator, eps)

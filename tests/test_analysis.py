@@ -278,6 +278,21 @@ def test_modulus_profile_marks_failures():
     assert prof.max_modulus == (None,)
 
 
+@pytest.mark.parametrize("samples, per_circle", [(64, 64), (65, 66), (22, 22), (1, 2)])
+def test_modulus_profile_samples_the_negative_axis_once(samples, per_circle):
+    s = exact_series([7])
+    seen = []
+
+    def counting(z):
+        seen.append(z)
+        return evaluate(s, z)
+
+    modulus_profile(counting, [2.0, 8.0], samples_per_circle=samples)
+    assert len(seen) == 2 * per_circle
+    assert seen.count(complex(-2.0, 2.0 * math.sin(math.pi))) == 1
+    assert len(set(seen)) == len(seen)
+
+
 def test_fit_order_type_synthetic():
     # log M(r) = 2 sqrt(r): order 1/2, type 2
     radii = (16.0, 64.0, 256.0, 1024.0)

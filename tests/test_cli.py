@@ -13,7 +13,7 @@ from fallfact.cli import main, parse_point
 from fallfact.errors import InputFormatError
 from fallfact.exact import lift, magnitude
 from fallfact.serialization import equation_from_json, series_from_json
-from fallfact.series import evaluate, evaluate_accelerated
+from fallfact.series import evaluate, evaluate_accelerated, taylor_from_binomial
 from fallfact.solver import continuation_eval
 
 
@@ -323,6 +323,15 @@ def test_interp_bad_sample_is_exit_3(tmp_path, capsys):
     assert main(["interp", "--samples", samples2]) == 3
 
 
+def test_interp_float_samples_beyond_the_float_range_is_exit_3(tmp_path, capsys):
+    samples = write_json(tmp_path / "big.json", [1e308, -1e308, 1e308])
+    out = tmp_path / "out.json"
+    assert main(["interp", "--samples", samples, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "a1" in err and "exact samples" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # convert
 # ---------------------------------------------------------------------------
@@ -377,6 +386,25 @@ def test_convert_flags_a_series_too_short_to_estimate_growth(tmp_path, capsys,
         "warning: growth estimate >= 1; Taylor conversion is formal\n"
     data = read_json(taylor)
     assert data["chi_flagged"] is True and 1.5 < data["chi_value"] < 1.6
+
+
+def test_convert_writes_null_for_an_undefined_growth_estimate(tmp_path, capsys):
+    # every |a_n| = 2^n >= 1: chi is undefined (inf), which JSON cannot hold
+    series = write_json(tmp_path / "big.json", {"regime": "exact", "origin": "t",
+                                                "coeffs": [str(2 ** n) for n in range(20)]})
+    taylor = tmp_path / "taylor.json"
+    assert main(["convert", "--series", series, "--to", "taylor", "--m-max", "2",
+                 "--out", str(taylor)]) == 0
+    assert capsys.readouterr().err == \
+        "warning: growth estimate >= 1; Taylor conversion is formal\n"
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    data = json.loads(taylor.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert data["chi_flagged"] is True and data["chi_value"] is None
+    assert taylor_from_binomial(series_from_json(read_json(tmp_path / "big.json")),
+                                2).chi_value == math.inf  # only the file says null
 
 
 @pytest.mark.parametrize("command, flag, payload", [

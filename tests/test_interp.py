@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fallfact.errors import InputFormatError
 from fallfact.exact import ExactScalar, as_exact, to_mpc
 from fallfact.interp import (SampleTable, forward_differences, newton_series,
                              reconstruct_check)
@@ -89,6 +90,13 @@ def test_float_samples_give_approx_series_with_exact_triangle():
     for n, a in enumerate(s.coeffs):
         want = 1.0 / math.factorial(n)
         assert abs(complex(a) - want) <= 1e-15 * want
+
+
+def test_float_samples_with_a_coefficient_beyond_the_float_range():
+    # a_1 = -2e308 is exact in the triangle but has no binary64 image
+    with pytest.raises(InputFormatError, match="a1 .*exact samples"):
+        newton_series([1e308, -1e308, 1e308])
+    assert newton_series([1e308, 1e308]).coeffs == (1e308, 0j)
 
 
 def test_newton_series_accepts_prebuilt_table():

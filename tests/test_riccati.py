@@ -156,3 +156,55 @@ def test_g_step_skips_zero_of_solution():
     assert rep.skipped == ((complex(5.0), "zero of the solution"),)
     assert rep.points == (complex(2.0),)
     assert len(rep.residuals) == 1 and rep.passed is not None
+
+
+# ---------------------------------------------------------------------------
+# one loop, each shifted value evaluated once
+# ---------------------------------------------------------------------------
+
+README_POINTS = [1.5, 2.5, 3.5, 4.5, 5.5, 6.5]
+
+
+@pytest.mark.parametrize("check, residual_hex", [
+    (verify_riccati, ["0x1.f0aaeeb4cc020p-168", "0x1.a8cc77e15ae38p-166",
+                      "0x1.e703b72336ac3p-169", "0x1.0d6f9503b7e6ep-168",
+                      "0x1.a1c5ae46b303dp-168", "0x1.1bd890a6ba1cbp-168"]),
+    (g_step_check, ["0x1.43fd0b648a8f3p-168", "0x1.0aa7ae11d0bbap-167",
+                    "0x1.b8e8e41c20b0fp-168", "0x1.14e151c7d0efbp-166",
+                    "0x1.a383b71dba54ap-165", "0x1.2437efb9b7f97p-164"]),
+])
+def test_each_shifted_point_is_evaluated_once(check, residual_hex):
+    # y(z), y(z+1), y(z+2) at six points: 8 distinct values, not 24 calls
+    inst = riccati_instance(4, 6, 3)
+    ev = order_half_evaluator()
+    calls = []
+
+    def counting(w):
+        calls.append(complex(w))
+        return ev(w)
+
+    rep = check(inst, counting, README_POINTS, eps=1e-8, precision_bits=256)
+    assert sorted(calls, key=abs) == [complex(1.5 + k) for k in range(8)]
+    assert [r.hex() for r in rep.residuals] == residual_hex  # frozen before the cache
+
+
+def test_skipped_point_evaluates_only_what_its_residual_read():
+    inst = riccati_instance(1, 0, 0)
+    calls = []
+
+    def dies_at_five(w):
+        calls.append(complex(w))
+        return 0.0 if abs(complex(w) - 5) < 0.25 else 1.0
+
+    verify_riccati(inst, dies_at_five, [5.0])
+    assert calls == [5, 6]  # f(z) broke down: f(z+1) was never formed
+    calls.clear()
+    verify_riccati(riccati_instance(4, 6, 3), dies_at_five, [-0.125])
+    assert calls == []  # near a pole of A: nothing evaluated
+
+
+@pytest.mark.parametrize("check", [verify_riccati, g_step_check])
+def test_no_verified_point_gives_no_verdict(check):
+    rep = check(riccati_instance(1, 0, 0), lambda w: 0.0, [5.0, 7.0], eps=1e-8)
+    assert rep.points == () and len(rep.skipped) == 2
+    assert rep.passed is None

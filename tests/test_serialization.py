@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -110,6 +111,12 @@ def test_dump_and_load_json():
     assert text.endswith("\n")
     assert json.loads(text) == {"a": [1, 2]}
     assert load_json(io.StringIO(text)) == {"a": [1, 2]}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_dump_json_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        dump_json({"a": value}, io.StringIO())
 
 
 # ---------------------------------------------------------------------------

@@ -371,3 +371,10 @@ def test_formal_solve_estimates_chi_once(monkeypatch):
         chi = chi_estimate(s.coeffs)
         assert (cls.chi, cls.window) == (chi.value, chi.window)
         assert cls == classify(s.coeffs)
+
+
+def test_verify_solution_reports_cast_points_and_no_verdict_without_points():
+    rep = verify_solution(GEOMETRIC, lambda w: complex(2) ** complex(w), [], eps=1e-10)
+    assert rep.points == () and rep.skipped == () and rep.passed is None
+    rep = verify_solution(GEOMETRIC, lambda w: 1.0, [2, Fraction(1, 2)], eps=1e-10)
+    assert rep.points == (2 + 0j, 0.5 + 0j) and rep.skipped == ()
