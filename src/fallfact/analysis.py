@@ -18,9 +18,7 @@ again; the CLI's solve and analyze print it.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import ExactScalar, lift
 
@@ -114,8 +112,7 @@ def log_abs(a) -> float | None:
     return math.log(abs(re.numerator)) - math.log(re.denominator)
 
 
-@dataclass(frozen=True)
-class ChiEstimate:
+class ChiEstimate(NamedTuple):
     value: float
     window: tuple[int, int]
     s_trace: tuple[tuple[int, float], ...]  # (n, s_n) over all usable indices
@@ -172,8 +169,7 @@ def order_from_taylor(coeffs: Sequence, window_fraction: float = 0.5) -> ChiEsti
     return est
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # ENTIRE | RIGHT_HALF_PLANE | UNKNOWN
     chi: float
     chi_undefined: bool
@@ -253,12 +249,21 @@ def _exact_peak_of_an_nfact(coeffs: Sequence) -> tuple[float | None, int | None]
 # modulus profiles and order/type fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModulusProfile:
+class ModulusProfile(NamedTuple):
     radii: tuple[float, ...]
     max_modulus: tuple[float | None, ...]  # None for invalid circles
     valid: tuple[bool, ...]
     samples_per_circle: int
+
+
+def _checked_radii(radii: Sequence[float]) -> tuple[float, ...]:
+    """The radii as floats; ValueError naming every negative or non-finite one."""
+    radii = tuple(float(r) for r in radii)
+    bad = [r for r in radii if not 0.0 <= r < math.inf]  # NaN too
+    if bad:
+        raise ValueError("radii must be finite and nonnegative, got "
+                         + " ".join(f"{r:g}" for r in bad))
+    return radii
 
 
 def modulus_profile(evaluator: Callable, radii: Sequence[float],
@@ -268,11 +273,13 @@ def modulus_profile(evaluator: Callable, radii: Sequence[float],
     The negative real axis is always included, once: for real-coefficient
     series of positive order that is where the modulus typically peaks.  An
     even count takes theta = pi exactly at k = s/2; an odd one adds it.
-    A circle with any non-converged evaluation is marked invalid.
+    A circle with any non-converged evaluation is marked invalid.  Negative
+    or non-finite radii raise ValueError before anything is evaluated.
     """
     s = samples_per_circle
     if s < 1:
         raise ValueError("need at least one sample per circle")
+    radii = _checked_radii(radii)
     angles = [math.pi if 2 * k == s else 2.0 * math.pi * k / s for k in range(s)]
     if s % 2:
         angles.append(math.pi)
@@ -291,12 +298,10 @@ def modulus_profile(evaluator: Callable, radii: Sequence[float],
             best = max(best, float(mag) if mag < 1e308 else math.inf)
         maxima.append(best if ok else None)
         valid.append(ok)
-    return ModulusProfile(tuple(float(r) for r in radii), tuple(maxima),
-                          tuple(valid), samples_per_circle)
+    return ModulusProfile(radii, tuple(maxima), tuple(valid), samples_per_circle)
 
 
-@dataclass(frozen=True)
-class OrderTypeFit:
+class OrderTypeFit(NamedTuple):
     rho_fit: float
     tau_fit: float
     radii_used: tuple[float, ...]
@@ -318,6 +323,7 @@ def fit_order_type(profile: ModulusProfile) -> OrderTypeFit:
         used.append(r)
     if len(xs) < 3:
         raise ValueError(f"only {len(xs)} usable radii; need at least 3")
+    import statistics  # here, so that importing analysis does not load it
     fit = statistics.linear_regression(xs, ys)
     rho = float(fit.slope)
     tau = max(math.log(m) / (r ** rho)

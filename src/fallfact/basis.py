@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import ExactScalar, ZERO, as_exact, from_numerators, integer_numerators
 from .polynomial import Polynomial
@@ -134,8 +133,7 @@ def poly_to_binomial(p: Polynomial, table: StirlingTable | None = None) -> tuple
     return tuple(apply_table(p.coeffs, table.second_kind_ints, len(p.coeffs)))
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     n_max: int
     all_hold: bool
     failures: tuple[tuple[str, int, int], ...]  # (kind, n, j)

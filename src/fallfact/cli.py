@@ -20,8 +20,8 @@ from contextlib import contextmanager
 from typing import IO, Iterator
 
 # chi_estimate is not called here; perfbench's tracer patches it on this module
-from .analysis import (MIN_GROWTH_COEFFS, chi_estimate, classify,  # noqa: F401
-                       fit_order_type, modulus_profile)
+from .analysis import (MIN_GROWTH_COEFFS, _checked_radii, chi_estimate,  # noqa: F401
+                       classify, fit_order_type, modulus_profile)
 from .errors import (InputFormatError, MathematicalObstruction,
                      NumericalFailure)
 from .exact import as_exact
@@ -196,10 +196,10 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     series = _load_series(args.series)
+    radii = _checked_radii(args.radii)  # refused before anything is printed
     _print_growth(series, args.window_fraction)
     if not args.fit:
         return 0
-    radii = [float(r) for r in args.radii]
 
     def evaluator(z):
         return evaluate(series, z, args.eps, args.n_max,

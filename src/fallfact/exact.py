@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re as _re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -35,18 +34,61 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text.replace(" ", ""))
 
 
-@dataclass(frozen=True)
-class ExactScalar:
+class _Value:
+    """An immutable value over the fields that _fields names, in order.
+
+    ==, hash and repr read those fields, and only an object of the same class
+    compares equal.  Assignment raises AttributeError, so __init__ stores
+    through object.__setattr__.  copy and pickle rebuild through __init__,
+    whose parameters are the fields in order.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ExactScalar(_Value):
     """A Gaussian rational re + im*i with both parts reduced Fractions."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+    _fields = ("re", "im")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> None:
+        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+
+    # the exact core's hot object: both read the two fields directly
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     # -- constructors ------------------------------------------------------
 

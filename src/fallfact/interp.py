@@ -10,9 +10,8 @@ back at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputFormatError
 from .exact import (ExactScalar, from_numerators, integer_numerators, lift,
@@ -25,8 +24,7 @@ from .series import (APPROX, BinomialSeries, EXACT, evaluate,  # noqa: F401
 _EXACT_SAMPLE_TYPES = (ExactScalar, int, Fraction, str)
 
 
-@dataclass(frozen=True)
-class SampleTable:
+class SampleTable(NamedTuple):
     """Forward-difference triangle; row k holds (delta^k f)(0), ..., shrinking."""
 
     values: tuple
@@ -102,8 +100,7 @@ def newton_series(samples, origin: str = "interpolation") -> BinomialSeries:
     return BinomialSeries(tuple(coeffs), EXACT if exact else APPROX, origin)
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
+class InterpolationReport(NamedTuple):
     points: tuple[int, ...]
     deviations: tuple[float, ...]
     max_deviation: float

@@ -9,11 +9,10 @@ by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exact import ExactScalar, ONE, ZERO, as_exact, to_mpc
+from .exact import ExactScalar, ONE, ZERO, _Value, as_exact, to_mpc
 
 CoeffLike = Union[ExactScalar, Fraction, int, str]
 
@@ -27,12 +26,11 @@ def _normalize(coeffs: Iterable[CoeffLike]) -> tuple[ExactScalar, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    coeffs: tuple[ExactScalar, ...] = ()
+class Polynomial(_Value):
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
+    def __init__(self, coeffs: Iterable[CoeffLike] = ()) -> None:
+        object.__setattr__(self, "coeffs", _normalize(coeffs))
 
     # -- basic queries -----------------------------------------------------
 
@@ -182,8 +180,7 @@ def format_poly(p: Polynomial, var: str = "z") -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(_Value):
     """num/den in canonical reduced form.
 
     Canonicalization: cancel the monic gcd, rescale by a single positive
@@ -192,11 +189,9 @@ class RationalFunction:
     real part (positive imaginary part when the real part vanishes).
     """
 
-    num: Polynomial
-    den: Polynomial
+    _fields = ("num", "den")
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
+    def __init__(self, num: Polynomial, den: Polynomial) -> None:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
@@ -214,7 +209,7 @@ class RationalFunction:
         num, den = num * scale, den * scale
         # Unit normalization over {1, -1, i, -i}: rotate so the denominator's
         # leading coefficient is lexicographically maximal in (re, im).  This
-        # makes the representative unique, so dataclass equality is semantic.
+        # makes the representative unique, so field equality is semantic.
         lead = den.leading()
         best = None
         for u in (ExactScalar(Fraction(1)), ExactScalar(Fraction(-1)),

@@ -20,8 +20,7 @@ both recursions against a supplied solution evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputFormatError, PoleError
 from .exact import ExactScalar, as_exact, to_mpc
@@ -60,8 +59,7 @@ def riccati_equation(a, b, c) -> LinearDifferenceEquation:
                                     (one, Polynomial((c,)), Polynomial((b, a))))
 
 
-@dataclass(frozen=True)
-class RiccatiInstance:
+class RiccatiInstance(NamedTuple):
     a: ExactScalar
     b: ExactScalar
     c: ExactScalar

@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .basis import StirlingTable, apply_table, default_table
 from .errors import EvaluationOverflowError
-from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
+from .exact import (ExactScalar, ONE, ZERO, _Value, as_exact, from_numerators,
                     integer_numerators, lift, magnitude, to_mpc)
 from .polynomial import Polynomial, poly
 
@@ -99,25 +98,22 @@ def _context(precision_bits: int) -> MPContext:
         return _CONTEXTS.setdefault(precision_bits, make_context(precision_bits))
 
 
-@dataclass(frozen=True)
-class BinomialSeries:
+class BinomialSeries(_Value):
     """Coefficients a0..aN of sum a_n z^(n_), plus regime and provenance."""
 
-    coeffs: tuple = ()
-    regime: str = EXACT
-    origin: str = ""
-    # values derived from the coefficients alone, by key: "exact", cast
-    # prefixes by precision, "numerators", "classify"; outside ==, hash and repr
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
-                        hash=False, repr=False)
+    _fields = ("coeffs", "regime", "origin")
 
-    def __post_init__(self) -> None:
-        if self.regime not in (EXACT, APPROX):
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.regime == EXACT:
-            object.__setattr__(self, "coeffs", tuple(as_exact(c) for c in self.coeffs))
-        else:
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coeffs: Iterable = (), regime: str = EXACT, origin: str = "") -> None:
+        if regime not in (EXACT, APPROX):
+            raise ValueError(f"unknown regime {regime!r}")
+        object.__setattr__(self, "coeffs", tuple(as_exact(c) for c in coeffs)
+                           if regime == EXACT else tuple(coeffs))
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "origin", origin)
+        # values derived from the coefficients alone, by key: "exact", cast
+        # prefixes by precision, "numerators", "classify"; outside ==, hash
+        # and repr, and a copy starts without them
+        object.__setattr__(self, "_memo", {})
 
     @property
     def truncation_order(self) -> int:
@@ -371,8 +367,7 @@ def mul_by_poly(series: BinomialSeries, p: Polynomial) -> BinomialSeries:
 # evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     # an mpc of the context shared at the requested precision: compute with
     # it freely, but never change that context's prec
     value: object
@@ -673,8 +668,7 @@ def _exact_term_magnitude(series: BinomialSeries, m: int, stop: int) -> float:
 # sequence acceleration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AcceleratedResult:
+class AcceleratedResult(NamedTuple):
     value: object  # an mpc of the context shared at the requested precision
     terms_used: int
     error_estimate: float  # |L_k - L_(k-1)|: an estimate, not a bound
@@ -775,8 +769,7 @@ def _levin(ratios: Sequence, inverses: Sequence, n0: int, k: int):
 # Taylor conversions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TaylorCoefficients:
+class TaylorCoefficients(NamedTuple):
     coeffs: tuple
     # True when the source's growth estimate is >= 1 or was not taken
     # (too few coefficients): the conversion is then conditional

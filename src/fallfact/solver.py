@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 # chi_estimate is not called here; perfbench's tracer patches it on this module
 from .analysis import (Classification, UNKNOWN, chi_estimate,  # noqa: F401
                        classify)
 from .errors import (DeterminacyError, InputFormatError, PoleError,
                      SingularRecurrenceError)
-from .exact import (ExactScalar, ONE, ZERO, as_exact, from_numerators,
-                    integer_numerators, to_mpc)
+from .exact import (ExactScalar, ONE, ZERO, _Value, as_exact, from_numerators,
+                    integer_numerators, magnitude, to_mpc)
 from .polynomial import Polynomial
 # make_context is not called here; it stays importable because perfbench's
 # tracer patches it on this module
@@ -40,22 +39,21 @@ DELTA_FORM = "delta"
 SHIFT_FORM = "shift"
 
 
-@dataclass(frozen=True)
-class LinearDifferenceEquation:
+class LinearDifferenceEquation(_Value):
     """Coefficient polynomials indexed by operator power; trailing zeros trimmed."""
 
-    form: str
-    coeffs: tuple[Polynomial, ...]
+    _fields = ("form", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.form not in (DELTA_FORM, SHIFT_FORM):
-            raise InputFormatError(f"unknown equation form {self.form!r}")
+    def __init__(self, form: str, coeffs: Sequence) -> None:
+        if form not in (DELTA_FORM, SHIFT_FORM):
+            raise InputFormatError(f"unknown equation form {form!r}")
         polys = [c if isinstance(c, Polynomial) else Polynomial(tuple(c))
-                 for c in self.coeffs]
+                 for c in coeffs]
         while polys and polys[-1].is_zero():
             polys.pop()
         if not polys:
             raise InputFormatError("equation has no nonzero coefficient")
+        object.__setattr__(self, "form", form)
         object.__setattr__(self, "coeffs", tuple(polys))
 
     @property
@@ -108,8 +106,7 @@ def _equation_operator(eq: LinearDifferenceEquation) -> _SeqOperator:
     return total
 
 
-@dataclass(frozen=True)
-class CoefficientRecurrence:
+class CoefficientRecurrence(NamedTuple):
     """sum_i q_i(n) a_{n+i} = 0 for n >= n_start, plus low-index constraints.
 
     prefix_constraints are homogeneous rows over a_0 .. a_{n_start + d - 1}
@@ -292,8 +289,7 @@ def formal_solve(eq: LinearDifferenceEquation,
 # Newton polygon
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     points: tuple[tuple[int, int], ...]
     hull: tuple[tuple[int, int], ...]
     slopes: tuple[Fraction, ...]
@@ -346,8 +342,7 @@ def candidate_orders(polygon: NewtonPolygon) -> tuple[Fraction, ...]:
 # continuation and verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuationResult:
+class ContinuationResult(NamedTuple):
     value: object
     converged: bool
     steps: int  # backward recursion depth
@@ -378,8 +373,11 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
         y(z) = -(1/b_0(z)) sum_{j>=1} b_j(z) y(z+j),
 
     stepping right until Re z crosses re_threshold, then summing directly.
-    b_0 vanishing exactly at a needed point raises PoleError; a series that
-    classify leaves unknown raises InputFormatError.
+    A needed point w where |b_0(w)| <= 2^(-precision_bits/2) sum_k |c_k| |w|^k
+    (c_k the coefficients of b_0) is taken for a zero of b_0, where the
+    division would return cancellation garbage: PoleError.  A non-finite z
+    raises ValueError and a series that classify leaves unknown
+    InputFormatError.
     """
     shift_eq = to_shift_form(eq)
     p = shift_eq.order
@@ -395,6 +393,8 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
 
     ctx = _context(precision_bits)
     zz = to_mpc(z, ctx)
+    if not ctx.isfinite(zz):  # refused as evaluate refuses it, before the step count
+        raise ValueError("cannot evaluate with a non-finite value")
     re_z = float(zz.real)
     if re_z > re_threshold:
         res = evaluate(series, zz, eps, n_max, precision_bits=precision_bits)
@@ -413,10 +413,17 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
         converged = converged and res.converged
         values[k_steps + j] = res.value
 
+    b0_poly = shift_eq.coeffs[0]
+    # the floor test needs no precision: |c_k| as floats, highest power first
+    b0_sizes = [magnitude(c) for c in reversed(b0_poly.coeffs)]
+    floor = 2.0 ** (-precision_bits / 2)
     for k in range(k_steps - 1, -1, -1):
         w = zz + k
-        b0 = shift_eq.coeffs[0].eval_numeric(w, ctx)
-        if b0 == 0:
+        b0 = b0_poly.eval_numeric(w, ctx)
+        r, size = abs(complex(w)), 0.0
+        for c in b0_sizes:
+            size = size * r + c
+        if abs(complex(b0)) <= floor * size:
             raise PoleError(complex(w))
         acc = ctx.mpc(0)
         for j in range(1, p + 1):
@@ -428,8 +435,7 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
     return ContinuationResult(values[0], converged, k_steps, p, re_threshold)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     points: tuple            # points verified, cast to the working precision
     residuals: tuple[float, ...]
     skipped: tuple           # (point, reason) pairs the residual declined

@@ -293,6 +293,14 @@ def test_modulus_profile_samples_the_negative_axis_once(samples, per_circle):
     assert len(set(seen)) == len(seen)
 
 
+@pytest.mark.parametrize("bad", [-4.0, math.inf, math.nan])
+def test_modulus_profile_refuses_bad_radii_before_evaluating(bad):
+    seen = []
+    with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad:g}$"):
+        modulus_profile(seen.append, [2.0, bad, 8.0])
+    assert seen == []
+
+
 def test_fit_order_type_synthetic():
     # log M(r) = 2 sqrt(r): order 1/2, type 2
     radii = (16.0, 64.0, 256.0, 1024.0)

@@ -505,6 +505,25 @@ def test_out_of_range_numeric_flag_is_exit_3_before_any_work(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_negative_radius_is_exit_3_before_any_output(tmp_path, capsys, geometric_eq):
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
+    capsys.readouterr()
+    assert main(["analyze", "--series", series, "--fit", "--radii", "16", "-4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fallfact: radii must be finite and nonnegative, got -4\n"
+
+
+def test_nan_point_is_exit_3_in_continue_eval(tmp_path, capsys, geometric_eq):
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
+    capsys.readouterr()
+    assert main(["continue-eval", "--equation", geometric_eq, "--series", series,
+                 "--at", "nan"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fallfact: cannot evaluate with a non-finite value\n"
+
+
 def test_precision_environment_variable_changes_nothing(tmp_path, monkeypatch, geometric_eq):
     series = solve_series(tmp_path, geometric_eq, ["0=1"])
     argv = ["eval", "--series", series, "--at", "2.25", "--at", "1+2i", "--out"]
@@ -563,16 +582,19 @@ def test_argparse_errors_exit_3(capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up: mpmath loads on first numeric use
+# start-up: mpmath loads on first numeric use, statistics on the fit only,
+# and no command loads dataclasses or inspect
 # ---------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+WATCHED = ("mpmath", "dataclasses", "inspect", "statistics")
+
 # runs `python -m fallfact.cli ARGS...` and reports on stderr, at exit,
-# whether mpmath was ever imported
-_CLI_REPORTING_MPMATH = (
+# which of the WATCHED modules were ever imported
+_CLI_REPORTING_MODULES = (
     "import atexit, runpy, sys\n"
-    "atexit.register(lambda: print('mpmath loaded:', 'mpmath' in sys.modules,"
+    f"atexit.register(lambda: print('loaded:', *[m for m in {WATCHED!r} if m in sys.modules],"
     " file=sys.stderr))\n"
     "runpy.run_module('fallfact.cli', run_name='__main__', alter_sys=True)\n")
 
@@ -584,23 +606,26 @@ def _fresh_python(cwd, *args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def _cli_loads_mpmath(cwd, *argv) -> bool:
-    proc = _fresh_python(cwd, "-c", _CLI_REPORTING_MPMATH, *argv)
+def _cli_loads(cwd, *argv) -> set[str]:
+    proc = _fresh_python(cwd, "-c", _CLI_REPORTING_MODULES, *argv)
     assert proc.returncode == 0, proc.stderr
-    report = proc.stderr.strip().splitlines()[-1]
-    assert report in ("mpmath loaded: True", "mpmath loaded: False"), proc.stderr
-    return report.endswith("True")
+    report = proc.stderr.strip().splitlines()[-1].split()
+    assert report[:1] == ["loaded:"], proc.stderr
+    return set(report[1:])
 
 
 def test_import_and_exact_commands_leave_mpmath_unloaded(tmp_path):
-    proc = _fresh_python(tmp_path, "-c",
-                         "import sys, fallfact\nprint('mpmath' in sys.modules)")
+    proc = _fresh_python(tmp_path, "-c", "import sys, fallfact\n"
+                         f"print(*[m for m in {WATCHED!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-    assert not _cli_loads_mpmath(tmp_path, "seed-examples", "--dir", "eqs")
-    assert not _cli_loads_mpmath(tmp_path, "solve", "--equation", "eqs/order-half.json",
-                                 "--free", "0=1", "--free", "1=-1/2", "--n-terms", "40",
-                                 "--out", "sol.json")
-    assert not _cli_loads_mpmath(tmp_path, "polygon", "--equation", "eqs/order-half.json")
+    assert proc.stdout.strip() == ""
+    assert _cli_loads(tmp_path, "seed-examples", "--dir", "eqs") == set()
+    assert _cli_loads(tmp_path, "solve", "--equation", "eqs/order-half.json",
+                      "--free", "0=1", "--free", "1=-1/2", "--n-terms", "40",
+                      "--out", "sol.json") == set()
+    assert _cli_loads(tmp_path, "polygon", "--equation", "eqs/order-half.json") == set()
     # evaluation is numeric: it loads mpmath, and the report sees that
-    assert _cli_loads_mpmath(tmp_path, "eval", "--series", "sol.json", "--at", "2.25")
+    assert _cli_loads(tmp_path, "eval", "--series", "sol.json", "--at", "2.25") == {"mpmath"}
+    # the order/type fit is the one user of statistics
+    assert _cli_loads(tmp_path, "analyze", "--series", "sol.json", "--fit",
+                      "--radii", "4", "8", "16", "--samples", "8") == {"mpmath", "statistics"}

@@ -283,6 +283,25 @@ def test_continuation_hits_pole():
         continuation_eval(FACTORIAL, s, 0.0)
 
 
+def test_continuation_refuses_a_near_zero_of_b0():
+    # shift form b0(z) = 4z + 4: near z = -1 the division by b0 returned
+    # cancellation garbage marked converged (415.9 - 2.4e7i against 1.5923)
+    s, _ = formal_solve(ORDER_HALF, {0: 1, 1: Fraction(-1, 2)}, 300)
+    for z in (complex(-1, 1e-45), complex(-3, 1e-45)):
+        with pytest.raises(PoleError):
+            continuation_eval(ORDER_HALF, s, z)
+    z = complex(-1, 1e-10)  # the direct sum is valid here
+    want = complex(evaluate(s, z).value)
+    assert abs(complex(continuation_eval(ORDER_HALF, s, z)) - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(-2, math.nan), -math.inf])
+def test_continuation_refuses_a_non_finite_point(z):
+    eq, s = doubling_setup()
+    with pytest.raises(ValueError, match="non-finite"):
+        continuation_eval(eq, s, z)
+
+
 def test_continuation_refuses_unclassified_series():
     eq, _ = doubling_setup()
     junk = exact_series([Fraction(math.factorial(n)) for n in range(60)])
