@@ -9,20 +9,18 @@ controlled precision.
 
 from .analysis import (Classification, ENTIRE, ModulusProfile, OrderTypeFit,
                        RIGHT_HALF_PLANE, UNKNOWN, chi_estimate, classify,
-                       fit_order_type, modulus_profile, order_from_taylor)
+                       fit_order_type, modulus_profile)
 from .basis import (StirlingTable, binomial_to_poly, default_table,
-                    falling_factorial, poly_to_binomial, stirling_first_row,
-                    stirling_second_row, verify_stirling_bounds)
+                    poly_to_binomial, verify_stirling_bounds)
 from .errors import (DeterminacyError, EvaluationOverflowError, FallfactError,
                      InputFormatError, MathematicalObstruction,
                      NumericalFailure, PoleError, SingularRecurrenceError)
 from .exact import ExactScalar, as_exact
-from .interp import (InterpolationReport, SampleTable, forward_differences,
-                     newton_series, reconstruct_check)
+from .interp import InterpolationReport, newton_series, reconstruct_check
 from .polynomial import Polynomial, RationalFunction, format_poly, poly
-from .riccati import (RiccatiInstance, g_step_check, moebius_step,
-                      riccati_coefficient, riccati_equation, riccati_instance,
-                      riccati_transform, verify_riccati)
+from .riccati import (RiccatiInstance, g_step_check, riccati_coefficient,
+                      riccati_equation, riccati_instance, riccati_transform,
+                      verify_riccati)
 from .series import (AcceleratedResult, BinomialSeries, EvaluationResult,
                      TaylorCoefficients, approx_series, binomial_from_taylor,
                      delta, evaluate, evaluate_accelerated, evaluate_exact,

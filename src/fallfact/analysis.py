@@ -120,13 +120,6 @@ class ChiEstimate(NamedTuple):
     zero_sequence: bool = False
 
 
-def _window_bounds(length: int, window_fraction: float) -> tuple[int, int]:
-    if not 0 < window_fraction <= 1:
-        raise ValueError("window_fraction must lie in (0, 1]")
-    lo = int(math.floor(length * (1.0 - window_fraction)))
-    return lo, length - 1
-
-
 def _s_trace(logs: Sequence[float | None]) -> list[tuple[int, float]]:
     trace = []
     for n in range(2, len(logs)):
@@ -137,36 +130,24 @@ def _s_trace(logs: Sequence[float | None]) -> list[tuple[int, float]]:
     return trace
 
 
-def chi_estimate(coeffs: Sequence, window_fraction: float = 0.5) -> ChiEstimate:
-    """Max of s_n over the trailing window; +inf with a flag when undefined.
+def chi_estimate(coeffs: Sequence) -> ChiEstimate:
+    """Max of s_n over the trailing half, n = floor(N/2) .. N - 1; +inf with a
+    flag when undefined.
 
     Zero coefficients are skipped, not treated as -inf.  The all-zero
     sequence has chi 0 by convention.  Needs MIN_GROWTH_COEFFS coefficients.
     """
     logs = [log_abs(c) for c in coeffs]
+    lo, hi = len(coeffs) // 2, max(len(coeffs) - 1, 0)
     if all(la is None for la in logs):
-        lo, hi = _window_bounds(max(len(coeffs), 1), window_fraction)
         return ChiEstimate(0.0, (lo, hi), (), False, True)
     if len(coeffs) < MIN_GROWTH_COEFFS:
         raise ValueError(f"a window estimate needs {MIN_GROWTH_COEFFS} coefficients")
-    lo, hi = _window_bounds(len(coeffs), window_fraction)
     trace = _s_trace(logs)
     in_window = [s for n, s in trace if lo <= n <= hi]
     if not in_window:
         return ChiEstimate(math.inf, (lo, hi), tuple(trace), True)
     return ChiEstimate(max(in_window), (lo, hi), tuple(trace))
-
-
-def order_from_taylor(coeffs: Sequence, window_fraction: float = 0.5) -> ChiEstimate:
-    """Same estimator applied to Taylor coefficients (Lindeloef-Pringsheim).
-
-    A finite tail of zeros is a polynomial: order 0 by convention instead of
-    the undefined flag.
-    """
-    est = chi_estimate(coeffs, window_fraction)
-    if est.undefined and all(lift(c).is_zero() for c in coeffs[est.window[0]:]):
-        return ChiEstimate(0.0, est.window, est.s_trace, False)
-    return est
 
 
 class Classification(NamedTuple):
@@ -178,7 +159,7 @@ class Classification(NamedTuple):
     k_index: int | None = None    # first index attaining the bound
 
 
-def classify(coeffs: Sequence, window_fraction: float = 0.5) -> Classification:
+def classify(coeffs: Sequence) -> Classification:
     """Entire if chi < 1 - _ENTIRE_MARGIN; else right-half-plane when
     |a_n| n! peaks early (before the last quartile); else unknown.  Raw
     numbers included: chi, whether it is undefined, and the window it was
@@ -186,7 +167,7 @@ def classify(coeffs: Sequence, window_fraction: float = 0.5) -> Classification:
     unknown with chi nan."""
     if len(coeffs) < MIN_GROWTH_COEFFS and not all(lift(c).is_zero() for c in coeffs):
         return Classification(UNKNOWN, math.nan, True, (0, len(coeffs) - 1))
-    est = chi_estimate(coeffs, window_fraction)
+    est = chi_estimate(coeffs)
     if est.zero_sequence:
         return Classification(ENTIRE, 0.0, False, est.window)
     if not est.undefined and est.value < 1.0 - _ENTIRE_MARGIN:
@@ -311,22 +292,16 @@ def fit_order_type(profile: ModulusProfile) -> OrderTypeFit:
     """Least-squares slope of ln ln M(r) against ln r, then
     tau = max ln M(r) / r^rho over the used radii.
 
-    Radii with invalid circles or M(r) <= 1 (ln ln undefined) are dropped;
-    at least three usable radii must remain.
+    Radii with invalid circles, M(r) <= 1 (ln ln undefined) or r = 0 (ln r
+    undefined) are dropped; at least three usable radii must remain.
     """
-    xs, ys, used = [], [], []
-    for r, m, ok in zip(profile.radii, profile.max_modulus, profile.valid):
-        if not ok or m is None or not math.isfinite(m) or m <= 1.0:
-            continue
-        xs.append(math.log(r))
-        ys.append(math.log(math.log(m)))
-        used.append(r)
-    if len(xs) < 3:
-        raise ValueError(f"only {len(xs)} usable radii; need at least 3")
+    used = [(r, m) for r, m, ok in zip(profile.radii, profile.max_modulus, profile.valid)
+            if ok and m is not None and math.isfinite(m) and m > 1.0 and r > 0.0]
+    if len(used) < 3:
+        raise ValueError(f"only {len(used)} usable radii; need at least 3")
     import statistics  # here, so that importing analysis does not load it
-    fit = statistics.linear_regression(xs, ys)
+    fit = statistics.linear_regression([math.log(r) for r, _ in used],
+                                       [math.log(math.log(m)) for _, m in used])
     rho = float(fit.slope)
-    tau = max(math.log(m) / (r ** rho)
-              for r, m, ok in zip(profile.radii, profile.max_modulus, profile.valid)
-              if ok and m is not None and math.isfinite(m) and m > 1.0)
-    return OrderTypeFit(rho, tau, tuple(used))
+    tau = max(math.log(m) / (r ** rho) for r, m in used)
+    return OrderTypeFit(rho, tau, tuple(r for r, _ in used))

@@ -82,19 +82,6 @@ def default_table() -> StirlingTable:
     return _DEFAULT_TABLE
 
 
-def stirling_first_row(n: int) -> tuple[ExactScalar, ...]:
-    return _DEFAULT_TABLE.first_kind_row(n)
-
-
-def stirling_second_row(n: int) -> tuple[ExactScalar, ...]:
-    return _DEFAULT_TABLE.second_kind_row(n)
-
-
-def falling_factorial(n: int) -> Polynomial:
-    """The monomial expansion of z^(n_); n = 0 gives the constant 1."""
-    return Polynomial(_DEFAULT_TABLE.first_kind_ints(n))
-
-
 def apply_table(coeffs: Sequence[ExactScalar], rows: Callable[[int], tuple[int, ...]],
                 width: int) -> list[ExactScalar]:
     """out_n = sum_k coeffs[k] * rows(k)[n] for 0 <= n < width, exactly.

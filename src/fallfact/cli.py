@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from typing import IO, Iterator
@@ -42,6 +43,13 @@ from .solver import (LinearDifferenceEquation, candidate_orders,
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # A minus before a digit, ".digit", inf or nan starts a value, not an
+        # option. argparse's own matcher knows only plain negative decimals,
+        # so it takes "-inf", "-1e3", "-0.5i" and "-1+2i" for options.
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message: str) -> None:  # exit 3, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
@@ -135,8 +143,8 @@ def _check_numeric_flags(args) -> None:
         raise InputFormatError("n_max must be >= 16")
 
 
-def _print_growth(series: BinomialSeries, window_fraction: float) -> None:
-    cls = classify(series.coeffs, window_fraction=window_fraction)
+def _print_growth(series: BinomialSeries) -> None:
+    cls = classify(series.coeffs)
     if math.isnan(cls.chi):
         print(f"growth: not estimated (needs >= {MIN_GROWTH_COEFFS} coefficients)")
         return
@@ -197,7 +205,7 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     series = _load_series(args.series)
     radii = _checked_radii(args.radii)  # refused before anything is printed
-    _print_growth(series, args.window_fraction)
+    _print_growth(series)
     if not args.fit:
         return 0
 
@@ -352,7 +360,8 @@ def cmd_continue_eval(args) -> int:
 _SEED_EQUATIONS = {
     # delta y = y/2: solution (1 + 1/2)^z, geometric coefficients
     "geometric.json": ("delta", [["-1/2"], ["1"]]),
-    # delta y = (z-1) y: factorial-weight coefficients, order 1 growth
+    # delta y = (z-1) y: with --free 0=1, a_n = (-1)^n/n!, so y = sum (-1)^n C(z,n),
+    # which is 0 on Re z > 0 and diverges on Re z < 0
     "factorial.json": ("delta", [["1", "-1"], ["1"]]),
     # (4z+6) delta^2 y + 3 delta y + y = 0: entire solution of order 1/2
     "order-half.json": ("delta", [["1"], ["3"], ["6", "4"]]),
@@ -418,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="growth estimate and classification")
     p.add_argument("--series", required=True)
-    p.add_argument("--window-fraction", type=float, default=0.5)
     p.add_argument("--fit", action="store_true",
                    help="also fit order and type from a modulus profile")
     p.add_argument("--radii", nargs="+", type=float, default=[16.0, 64.0, 256.0, 1024.0])
@@ -496,13 +504,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Python refuses int <-> str conversions past 4,300 digits, a guard against
+# quadratic-time parsing of hostile input (CVE-2020-10735).  Exact
+# coefficients pass that soon: a_780 of the README equation has a 4,306-digit
+# denominator.  Each command runs under this higher cap instead; at 100,000
+# digits one integer takes about 0.1 s to parse and 0.2 s to print.
+_INT_DIGITS_CAP = 100_000
+
+
+@contextmanager
+def _int_digits_cap() -> Iterator[None]:
+    """Raise the int/str digit limit to _INT_DIGITS_CAP, then restore it.
+
+    A limit already higher or off (0) is kept; Pythons before 3.10.7 have none.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    raise_it = 0 < limit < _INT_DIGITS_CAP
+    if raise_it:
+        sys.set_int_max_str_digits(_INT_DIGITS_CAP)
+    try:
+        yield
+    finally:
+        if raise_it:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "precision_bits"):  # the commands that evaluate
             _check_numeric_flags(args)
-        return args.handler(args)
+        with _int_digits_cap():
+            return args.handler(args)
     except MathematicalObstruction as exc:
         print(f"fallfact: {exc}", file=sys.stderr)
         return 2

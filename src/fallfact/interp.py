@@ -11,7 +11,7 @@ back at the end.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputFormatError
 from .exact import (ExactScalar, from_numerators, integer_numerators, lift,
@@ -24,22 +24,6 @@ from .series import (APPROX, BinomialSeries, EXACT, evaluate,  # noqa: F401
 _EXACT_SAMPLE_TYPES = (ExactScalar, int, Fraction, str)
 
 
-class SampleTable(NamedTuple):
-    """Forward-difference triangle; row k holds (delta^k f)(0), ..., shrinking."""
-
-    values: tuple
-    difference_rows: tuple[tuple[ExactScalar, ...], ...]
-    exact: bool
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def leading_differences(self) -> tuple[ExactScalar, ...]:
-        """(delta^n f)(0) for n = 0..N."""
-        return tuple(row[0] for row in self.difference_rows)
-
-
 def _lift_samples(values: Sequence) -> tuple[list[tuple[int, int]], int, bool]:
     """Samples as integer numerators (re, im) over one common denominator,
     and whether every sample was exact to begin with."""
@@ -49,28 +33,16 @@ def _lift_samples(values: Sequence) -> tuple[list[tuple[int, int]], int, bool]:
     return nums, den, all(isinstance(v, _EXACT_SAMPLE_TYPES) for v in values)
 
 
-def _difference_rows(row: list[int]) -> Iterator[list[int]]:
-    """The forward-difference triangle of row, one row at a time, row first."""
-    yield row
+def _leading_differences(row: list[int]) -> list[int]:
+    """(delta^n f)(0) for n = 0..N from f(0..N), one triangle row at a time."""
+    leading = [row[0]]
     while len(row) > 1:
         row = [b - a for a, b in zip(row, row[1:])]
-        yield row
+        leading.append(row[0])
+    return leading
 
 
-def _triangle(nums: list[tuple[int, int]]) -> Iterator[tuple[list[int], list[int]]]:
-    """Difference rows of the real and imaginary numerators side by side."""
-    return zip(_difference_rows([re for re, _ in nums]),
-               _difference_rows([im for _, im in nums]))
-
-
-def forward_differences(values: Sequence) -> SampleTable:
-    nums, den, exact = _lift_samples(values)
-    rows = tuple(tuple(from_numerators(r, i, den) for r, i in zip(re, im))
-                 for re, im in _triangle(nums))
-    return SampleTable(tuple(values), rows, exact)
-
-
-def newton_series(samples, origin: str = "interpolation") -> BinomialSeries:
+def newton_series(samples: Sequence, origin: str = "interpolation") -> BinomialSeries:
     """Series with a_n = (delta^n f)(0) / n! from samples f(0..N).
 
     Exact samples give an exact-regime series; float or complex samples give
@@ -80,12 +52,9 @@ def newton_series(samples, origin: str = "interpolation") -> BinomialSeries:
     numerators over the samples' common denominator, keeping one row at a
     time.
     """
-    if isinstance(samples, SampleTable):
-        leading, den = integer_numerators(samples.leading_differences())
-        exact = samples.exact
-    else:
-        nums, den, exact = _lift_samples(samples)
-        leading = [(re[0], im[0]) for re, im in _triangle(nums)]
+    nums, den, exact = _lift_samples(samples)
+    leading = zip(_leading_differences([re for re, _ in nums]),
+                  _leading_differences([im for _, im in nums]))
     coeffs = []
     fact = 1
     for n, (re, im) in enumerate(leading):

@@ -81,11 +81,6 @@ def riccati_instance(a, b, c) -> RiccatiInstance:
                            riccati_equation(a, b, c))
 
 
-def moebius_step(f, coefficient_value):
-    """One step of the canonical recursion: (f + A) / (1 - f)."""
-    return (f + coefficient_value) / (1 - f)
-
-
 def riccati_transform(instance: RiccatiInstance, evaluator: Callable, z,
                       precision_bits: int = DEFAULT_PRECISION_BITS):
     """f(z) computed from a solution evaluator of the linear equation.

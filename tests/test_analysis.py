@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fallfact.analysis import (ENTIRE, RIGHT_HALF_PLANE, UNKNOWN, ModulusProfile,
                                _exact_peak_of_an_nfact, _rounded_abs_squared_numerator,
                                chi_estimate, classify, fit_order_type, log_abs,
-                               modulus_profile, order_from_taylor)
+                               modulus_profile)
 from fallfact.exact import ExactScalar
 from fallfact.series import evaluate, exact_series
 
@@ -143,11 +143,6 @@ def test_chi_undefined_when_window_has_no_usable_terms():
     assert est.value == math.inf
 
 
-def test_chi_window_fraction_validation():
-    with pytest.raises(ValueError):
-        chi_estimate(inv_factorial(40), window_fraction=0.0)
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -234,29 +229,6 @@ def test_classify_zero_sequence_is_entire():
 
 
 # ---------------------------------------------------------------------------
-# order from Taylor coefficients
-# ---------------------------------------------------------------------------
-
-def test_order_from_taylor_exponential():
-    small = order_from_taylor([Fraction(1, math.factorial(m)) for m in range(200)])
-    big = order_from_taylor([Fraction(1, math.factorial(m)) for m in range(800)])
-    assert small.value == pytest.approx(1.2660631472614994, abs=1e-12)
-    assert 1.0 < big.value < small.value  # approaches order 1 from above
-
-
-def test_order_from_taylor_half():
-    est = order_from_taylor([Fraction(1, math.factorial(2 * m)) for m in range(200)])
-    assert 0.5 < est.value < 0.56
-
-
-def test_order_from_taylor_polynomial_is_zero():
-    coeffs = [Fraction(3), Fraction(1), Fraction(2)] + [Fraction(0)] * 30
-    est = order_from_taylor(coeffs)
-    assert est.value == 0.0
-    assert not est.undefined
-
-
-# ---------------------------------------------------------------------------
 # modulus profile and order/type fitting
 # ---------------------------------------------------------------------------
 
@@ -319,5 +291,9 @@ def test_fit_order_type_drops_unusable_radii():
                           (True, True, True, False, True), 1)
     fit = fit_order_type(prof)
     assert fit.radii_used == (4.0, 8.0, 32.0)
+    # r = 0 with M(0) > 1 is dropped too: ln 0 is undefined
+    with_zero = fit_order_type(ModulusProfile((0.0,) + prof.radii, (2.0,) + prof.max_modulus,
+                                              (True,) + prof.valid, 1))
+    assert with_zero == fit
     with pytest.raises(ValueError):
         fit_order_type(ModulusProfile((4.0, 8.0), (10.0, 10.0), (True, True), 1))

@@ -4,9 +4,7 @@ import time
 from fractions import Fraction
 
 from fallfact.basis import (StirlingTable, binomial_to_poly, default_table,
-                            falling_factorial, poly_to_binomial,
-                            stirling_first_row, stirling_second_row,
-                            verify_stirling_bounds)
+                            poly_to_binomial, verify_stirling_bounds)
 from fallfact.exact import ExactScalar, as_exact
 from fallfact.polynomial import Polynomial, poly
 
@@ -33,20 +31,21 @@ def explicit_second_kind(n, k):
 
 def test_first_kind_matches_brute_force():
     for n in range(26):
-        row = stirling_first_row(n)
+        row = default_table().first_kind_row(n)
         want = brute_falling_factorial_coeffs(n)
         assert [c.re for c in row] == want
         assert all(c.im == 0 for c in row)
 
 
 def test_known_rows():
-    assert [c.re for c in stirling_first_row(4)] == [0, -6, 11, -6, 1]
-    assert [c.re for c in stirling_second_row(4)] == [0, 1, 7, 6, 1]
+    t = default_table()
+    assert [c.re for c in t.first_kind_row(4)] == [0, -6, 11, -6, 1]
+    assert [c.re for c in t.second_kind_row(4)] == [0, 1, 7, 6, 1]
 
 
 def test_second_kind_matches_explicit_formula():
     for n in range(18):
-        row = stirling_second_row(n)
+        row = default_table().second_kind_row(n)
         for k in range(n + 1):
             assert row[k].re == explicit_second_kind(n, k)
 
@@ -74,6 +73,11 @@ def test_bounds_hold_to_30():
     report = verify_stirling_bounds(30)
     assert report.all_hold
     assert report.failures == ()
+
+
+def falling_factorial(n):
+    """z^(n_) in the monomial basis: the binomial series with a_n = 1 alone."""
+    return binomial_to_poly([0] * n + [1])
 
 
 def test_falling_factorial_polynomial():

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from fallfact.cli import main, parse_point
+from fallfact.cli import _int_digits_cap, main, parse_point
 from fallfact.errors import InputFormatError
 from fallfact.exact import lift, magnitude
 from fallfact.serialization import equation_from_json, series_from_json
 from fallfact.series import evaluate, evaluate_accelerated, taylor_from_binomial
-from fallfact.solver import continuation_eval
+from fallfact.solver import continuation_eval, derive_recurrence, solve_recurrence
 
 
 def write_json(path, obj):
@@ -187,6 +187,20 @@ def test_analyze_fit_profile(tmp_path, capsys, order_half_eq):
     rows = list(csv.reader(prof.open()))
     assert rows[0] == ["radius", "max_modulus", "valid"]
     assert len(rows) == 4
+
+
+def test_analyze_fit_drops_radius_zero(tmp_path, capsys, geometric_eq):
+    # M(0) = |y(0)| = 2 > 1, but ln 0 has no place in the fit
+    series = solve_series(tmp_path, geometric_eq, ["0=2"], n_terms=100)
+    outputs = []
+    for radii in (["0", "4", "16", "64"], ["4", "16", "64"]):
+        capsys.readouterr()
+        assert main(["analyze", "--series", series, "--fit", "--radii", *radii,
+                     "--samples", "8"]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert "M(0) = 2" in outputs[0]
+    assert outputs[0][-2:] == outputs[1][-2:] == ["rho_fit 0.995447364334",
+                                                  "tau_fit 0.582416127004"]
 
 
 def test_analyze_short_series(tmp_path, capsys):
@@ -366,6 +380,25 @@ def test_convert_series_taylor_round_trip(tmp_path, capsys, geometric_eq):
     assert read_json(back)["coeffs"] == read_json(tmp_path / "series.json")["coeffs"]
 
 
+def test_solve_and_convert_past_the_int_digit_limit(tmp_path, capsys, order_half_eq):
+    # a_780 of the order-half solution already has a 4,306-digit denominator
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    series = solve_series(tmp_path, order_half_eq, ["0=1", "1=-1/2"], n_terms=1000)
+    coeffs = read_json(Path(series))["coeffs"]
+    assert max(len(c) for c in coeffs) > 4300
+    taylor, back = str(tmp_path / "taylor.json"), str(tmp_path / "back.json")
+    assert main(["convert", "--series", series, "--to", "taylor", "--m-max", "40",
+                 "--k-cut", "40", "--out", taylor]) == 0
+    assert main(["convert", "--taylor", taylor, "--to", "binomial", "--out", back]) == 0
+    assert read_json(Path(back))["coeffs"] == coeffs[:41]
+    if limit:  # each command restores the limit it found
+        assert sys.get_int_max_str_digits() == limit
+    with _int_digits_cap():
+        rec = derive_recurrence(equation_from_json(read_json(Path(order_half_eq))))
+        want = solve_recurrence(rec, {0: 1, 1: Fraction(-1, 2)}, 1000)
+        assert series_from_json(read_json(Path(series))).coeffs == tuple(want)
+
+
 def test_convert_flags_a_series_too_short_to_estimate_growth(tmp_path, capsys,
                                                              factorial_eq):
     short = solve_series(tmp_path, factorial_eq, ["0=1"], n_terms=9)
@@ -503,6 +536,31 @@ def test_out_of_range_numeric_flag_is_exit_3_before_any_work(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("fallfact: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("point", ["-inf", "-1+2i", "-0.5i", "-1e3"])
+@pytest.mark.parametrize("command", ["eval", "continue-eval", "riccati-verify"])
+def test_negative_point_after_at_is_a_value(tmp_path, capsys, geometric_eq,
+                                            command, point):
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=40)
+    argv = {
+        "eval": ["eval", "--series", series],
+        "continue-eval": ["continue-eval", "--equation", geometric_eq,
+                          "--series", series],
+        "riccati-verify": ["riccati", "verify", "--a", "4", "--b", "6", "--c", "3",
+                           "--free", "0=1", "--free", "1=-1/2", "--n-terms", "40"],
+    }[command] + ["--n-max", "200"]
+    capsys.readouterr()
+    runs = []
+    for at in (["--at", point], [f"--at={point}"]):
+        code = main(argv + at)
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    if point == "-inf":
+        assert (code, err) == (3, "fallfact: cannot evaluate with a non-finite value\n")
+    else:
+        assert code == 0 and err == ""
 
 
 def test_negative_radius_is_exit_3_before_any_output(tmp_path, capsys, geometric_eq):

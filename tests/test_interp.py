@@ -6,49 +6,42 @@ import pytest
 
 from fallfact.errors import InputFormatError
 from fallfact.exact import ExactScalar, as_exact, to_mpc
-from fallfact.interp import (SampleTable, forward_differences, newton_series,
-                             reconstruct_check)
+from fallfact.interp import newton_series, reconstruct_check
 from fallfact.polynomial import Polynomial
 from fallfact.series import evaluate_accelerated, evaluate_exact, make_context
 
 
 # ---------------------------------------------------------------------------
-# forward differences
+# the difference triangle, through newton_series
 # ---------------------------------------------------------------------------
 
 def test_difference_triangle_shape_and_values():
-    t = forward_differences([1, 4, 9, 16])  # f(k) = (k+1)^2
-    assert isinstance(t, SampleTable)
-    assert t.order == 3
-    assert t.exact
-    assert t.leading_differences() == (as_exact(1), as_exact(3), as_exact(2),
-                                       as_exact(0))
-    assert len(t.difference_rows) == 4
-    assert len(t.difference_rows[-1]) == 1
+    # f(k) = (k+1)^2: leading differences 1, 3, 2, 0, divided by n!
+    s = newton_series([1, 4, 9, 16])
+    assert s.coeffs == (as_exact(1), as_exact(3), as_exact(1), as_exact(0))
 
 
 def test_lift_rejects_bool_and_empty():
     with pytest.raises(TypeError):
-        forward_differences([True, 1])
+        newton_series([True, 1])
     with pytest.raises(ValueError):
-        forward_differences([])
+        newton_series([])
 
 
 def test_float_samples_lose_exact_flag():
-    assert forward_differences([1, 2, 3]).exact
-    assert not forward_differences([1, 2.0, 3]).exact
-    assert not forward_differences([1, complex(2, 1)]).exact
+    assert newton_series([1, 2, 3]).regime == "exact"
+    assert newton_series([1, 2.0, 3]).regime == "approx"
+    assert newton_series([1, complex(2, 1)]).regime == "approx"
 
 
 def test_mpmath_samples_lift_exactly():
-    # a 128-bit mpf is the binary rational it holds, not its 53-bit rounding
+    # a 128-bit mpf is the binary rational it holds, not its 53-bit rounding:
+    # rounded first, both samples would be 1 and a1 would be 0
     ctx = make_context(128)
-    third = ctx.mpf(1) / 3
-    want = Fraction(int(ctx.ldexp(third, 200)), 2 ** 200)  # exact: 2^200 third is an integer
-    assert want != Fraction(float(third))
-    t = forward_differences([third, ctx.mpc(0, third)])
-    assert not t.exact
-    assert t.difference_rows[0] == (ExactScalar(want), ExactScalar(0, want))
+    one = ctx.mpf(1)
+    s = newton_series([one, one + ctx.ldexp(one, -100)])
+    assert s.regime == "approx"
+    assert s.coeffs == (1 + 0j, complex(2.0 ** -100))
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +90,6 @@ def test_float_samples_with_a_coefficient_beyond_the_float_range():
     with pytest.raises(InputFormatError, match="a1 .*exact samples"):
         newton_series([1e308, -1e308, 1e308])
     assert newton_series([1e308, 1e308]).coeffs == (1e308, 0j)
-
-
-def test_newton_series_accepts_prebuilt_table():
-    t = forward_differences([1, 2, 4])
-    assert newton_series(t) == newton_series([1, 2, 4])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from sympy.functions.combinatorial.numbers import stirling
 from fallfact.basis import StirlingTable, binomial_to_poly, poly_to_binomial
 from fallfact.errors import InputFormatError, SingularRecurrenceError
 from fallfact.exact import ExactScalar, as_exact
-from fallfact.interp import forward_differences, newton_series
+from fallfact.interp import newton_series
 from fallfact.polynomial import Polynomial
 from fallfact.series import (BinomialSeries, approx_series, delta, evaluate_exact,
                              linear_combine, mul_by_poly, mul_by_z, shift,
@@ -122,11 +122,14 @@ def test_binomial_to_poly_matches_sympy_ff(coeffs):
                  st.lists(gaussian_scalars, min_size=1, max_size=25)))
 def test_newton_series_reproduces_samples(samples):
     s = newton_series(samples)
-    lead = forward_differences(samples).leading_differences()
+    values = [as_exact(v) for v in samples]
     fact = 1
-    for n, (a, d) in enumerate(zip(s.coeffs, lead)):
+    for n, a in enumerate(s.coeffs):
         fact *= n or 1
-        assert a * fact == d
+        # (delta^n f)(0) as the explicit binomial sum, not a second triangle
+        lead = sum((values[k] * ((-1) ** (n - k) * math.comb(n, k))
+                    for k in range(n + 1)), as_exact(0))
+        assert a * fact == lead
     for k, v in enumerate(samples):
         assert evaluate_exact(s, k) == as_exact(v)
 

@@ -5,7 +5,7 @@ import pytest
 from fallfact.errors import InputFormatError, PoleError
 from fallfact.exact import as_exact
 from fallfact.polynomial import Polynomial, RationalFunction, poly
-from fallfact.riccati import (g_step_check, moebius_step, riccati_coefficient,
+from fallfact.riccati import (g_step_check, riccati_coefficient,
                               riccati_equation, riccati_instance,
                               riccati_transform, verify_riccati)
 from fallfact.series import evaluate, exact_series, make_context
@@ -58,11 +58,6 @@ def test_equation_and_instance_structure():
     assert inst.coefficient == riccati_coefficient(4, 6, 3)
 
 
-def test_moebius_step_exact():
-    assert moebius_step(Fraction(2), Fraction(3)) == Fraction(-5)
-    assert moebius_step(Fraction(0), Fraction(7, 3)) == Fraction(7, 3)
-
-
 # ---------------------------------------------------------------------------
 # transform and verification against the solved linear equation
 # ---------------------------------------------------------------------------
@@ -85,7 +80,7 @@ def test_transform_satisfies_step_recursion():
     f0 = riccati_transform(inst, ev, 2.0, precision_bits=256)
     f1 = riccati_transform(inst, ev, 3.0, precision_bits=256)
     a_val = inst.coefficient.eval_numeric(ctx.mpc(2), ctx)
-    assert abs(moebius_step(f0, a_val) - f1) < ctx.mpf(1e-20)
+    assert abs((f0 + a_val) / (1 - f0) - f1) < ctx.mpf(1e-20)  # f(z+1) = (f + A)/(1 - f)
 
 
 def test_g_step_check_on_solved_equation():
