@@ -1,21 +1,23 @@
 """Falling factorials and conversion between the monomial and binomial bases.
 
-z^(n_) denotes z(z-1)...(z-n+1).  Two triangular tables drive everything:
+z^(n_) denotes z(z-1)...(z-n+1).  Two triangular tables relate the bases:
 
   first kind:   z^(n_) = sum_j  T1[n][j] * z^j      (signed entries)
   second kind:  z^n    = sum_k  T2[n][k] * z^(k_)
 
 Both satisfy one-step Pascal-type recurrences, are exact integers, and are
-mutual inverses as lower-triangular matrices.  Rows are cached and extended
-on demand; extension is serialized by a lock and rows are immutable, so
-concurrent readers are safe.
+mutual inverses as lower-triangular matrices.  StirlingTable caches their
+rows, extended on demand; extension is serialized by a lock and rows are
+immutable, so concurrent readers are safe.  The conversions read no table:
+they run Horner's rule on z^(n_) = z^((n-1)_) (z - n + 1), which multiplies
+by small integers only.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import ExactScalar, ZERO, as_exact, from_numerators, integer_numerators
 from .polynomial import Polynomial
@@ -82,42 +84,46 @@ def default_table() -> StirlingTable:
     return _DEFAULT_TABLE
 
 
-def apply_table(coeffs: Sequence[ExactScalar], rows: Callable[[int], tuple[int, ...]],
-                width: int) -> list[ExactScalar]:
-    """out_n = sum_k coeffs[k] * rows(k)[n] for 0 <= n < width, exactly.
+def _change_basis(coeffs: Sequence[ExactScalar], width: int,
+                  into_falling: bool) -> list[ExactScalar]:
+    """Entries 0..width-1 of sum_k coeffs[k] B_k(z) in the other basis, exactly.
 
-    rows(k) is an integer table row such as StirlingTable.first_kind_ints.
-    The sums run on integer numerators over the coefficients' common
-    denominator, which each output coefficient is reduced against once.
+    Horner's rule S <- c_k + x_k S, for k from the top down:
+      * B_k = z^(k_) (into_falling False): x_k = z - k, which acts on
+        monomial entries as S[j] <- S[j-1] - k S[j];
+      * B_k = z^k (into_falling True): x_k = z, which acts on
+        falling-factorial entries as S[n] <- S[n-1] + n S[n], because
+        z z^(n_) = z^((n+1)_) + n z^(n_).
+    Entry j of a step reads only entries j-1 and j of S, so cutting S to
+    width after every step leaves the kept entries exact.  The steps run on
+    the integer numerators over the coefficients' common denominator and
+    multiply by small integers only; each output is reduced once.
     """
     nums, den = integer_numerators(coeffs)
-    re = [0] * width
-    im = [0] * width
-    for k, (c_re, c_im) in enumerate(nums):
-        if not c_re and not c_im:
-            continue
-        row = rows(k)
-        top = min(k + 1, width)
-        if c_re:
-            for n in range(top):
-                re[n] += c_re * row[n]
-        if c_im:
-            for n in range(top):
-                im[n] += c_im * row[n]
-    return [from_numerators(r, i, den) for r, i in zip(re, im)]
+    parts = []
+    for part in zip(*nums) if nums else ((), ()):
+        s: list[int] = []
+        if any(part):
+            for k in range(len(part) - 1, -1, -1):
+                if into_falling:
+                    s = [left + n * here
+                         for n, (left, here) in enumerate(zip([0] + s, s + [0]))]
+                else:
+                    s = [left - k * here for left, here in zip([0] + s, s + [0])]
+                del s[width:]
+                s[0] += part[k]
+        parts.append(s + [0] * (width - len(s)))
+    return [from_numerators(r, i, den) for r, i in zip(*parts)]
 
 
-def binomial_to_poly(coeffs: Sequence, table: StirlingTable | None = None) -> Polynomial:
+def binomial_to_poly(coeffs: Sequence) -> Polynomial:
     """Expand sum a_n z^(n_) into the monomial basis, exactly."""
-    table = table or _DEFAULT_TABLE
-    return Polynomial(tuple(apply_table([as_exact(a) for a in coeffs],
-                                        table.first_kind_ints, len(coeffs))))
+    return Polynomial(tuple(_change_basis([as_exact(a) for a in coeffs], len(coeffs), False)))
 
 
-def poly_to_binomial(p: Polynomial, table: StirlingTable | None = None) -> tuple[ExactScalar, ...]:
+def poly_to_binomial(p: Polynomial) -> tuple[ExactScalar, ...]:
     """Rewrite a polynomial as sum c_n z^(n_); output length = deg + 1."""
-    table = table or _DEFAULT_TABLE
-    return tuple(apply_table(p.coeffs, table.second_kind_ints, len(p.coeffs)))
+    return tuple(_change_basis(p.coeffs, len(p.coeffs), True))
 
 
 class BoundsReport(NamedTuple):

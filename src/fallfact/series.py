@@ -46,7 +46,9 @@ from collections import deque
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .basis import StirlingTable, apply_table, default_table
+# default_table is not called here; it stays importable because perfbench's
+# CLI tour replay swaps it on this module
+from .basis import StirlingTable, _change_basis, default_table  # noqa: F401
 from .errors import EvaluationOverflowError
 from .exact import (ExactScalar, ONE, ZERO, _Value, as_exact, from_numerators,
                     integer_numerators, lift, magnitude, to_mpc)
@@ -394,15 +396,12 @@ def evaluate_exact(series: BinomialSeries, z) -> ExactScalar:
         m = zz.re.numerator
         nums, den = series._memoized("numerators",
                                      lambda: integer_numerators(series._exact_coeffs))
+        # Horner's rule: S <- a_n + (m - n) S, from n = min(m, N) down to 0
         re = im = 0
-        ff = 1
-        for n, (a_re, a_im) in enumerate(nums[:m + 1]):
-            if n:
-                ff *= m - n + 1
-            if a_re:
-                re += a_re * ff
-            if a_im:
-                im += a_im * ff
+        for n in range(min(m, len(nums) - 1), -1, -1):
+            a_re, a_im = nums[n]
+            re = a_re + (m - n) * re
+            im = a_im + (m - n) * im
         return from_numerators(re, im, den)
     total = ZERO
     ff = ONE
@@ -782,21 +781,24 @@ def taylor_from_binomial(series: BinomialSeries, m_max: int,
                          table: StirlingTable | None = None) -> TaylorCoefficients:
     """b_n = sum_{k=n}^{k_cut} a_k * T1[k][n]: Taylor coefficients at 0.
 
-    Exact for either regime: the sums run on the coefficients' exact image.
+    Exact for either regime: the sums run on the coefficients' exact image,
+    by Horner's rule in z - k, so no table row is read.
     The inner sums are only absolutely convergent when the source decays
     fast enough (classify's growth estimate below 1); otherwise, or when
     there are too few coefficients to estimate it, the result is flagged
     but still returned, truncated at k_cut.
     """
+    # table is accepted and unread, because perfbench's exact-core workload passes one
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     order = series.truncation_order
     if k_cut is None:
         k_cut = order
+    elif k_cut < 0:
+        raise ValueError("k_cut must be nonnegative")
     if k_cut > order:
         raise ValueError(f"k_cut {k_cut} exceeds truncation order {order}")
-    table = table or default_table()
-    out = apply_table(series._exact_coeffs[:k_cut + 1], table.first_kind_ints, m_max + 1)
+    out = _change_basis(series._exact_coeffs[:k_cut + 1], m_max + 1, False)
 
     from .analysis import classify  # keeps analysis series-free
     cls = series._memoized("classify", lambda: classify(series.coeffs))
@@ -805,22 +807,23 @@ def taylor_from_binomial(series: BinomialSeries, m_max: int,
 
 
 def binomial_from_taylor(taylor_coeffs: Sequence, n_max: int | None = None,
-                         k_cut: int | None = None,
-                         table: StirlingTable | None = None,
-                         origin: str = "") -> BinomialSeries:
+                         k_cut: int | None = None, origin: str = "") -> BinomialSeries:
     """a_n = sum_{k=n}^{k_cut} b_k * T2[k][n]: mirror of taylor_from_binomial.
 
-    Float, complex and mpmath inputs are lifted exactly, so the result is an
-    exact series whatever the input.
+    The sums run by Horner's rule in z on the falling-factorial side.  Float,
+    complex and mpmath inputs are lifted exactly, so the result is an exact
+    series whatever the input.
     """
     top = len(taylor_coeffs) - 1
     if k_cut is None:
         k_cut = top
+    elif k_cut < 0:
+        raise ValueError("k_cut must be nonnegative")
     if k_cut > top:
         raise ValueError(f"k_cut {k_cut} exceeds available Taylor order {top}")
     if n_max is None:
         n_max = k_cut
-    table = table or default_table()
-    out = apply_table([lift(b) for b in taylor_coeffs[:k_cut + 1]],
-                      table.second_kind_ints, n_max + 1)
+    elif n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    out = _change_basis([lift(b) for b in taylor_coeffs[:k_cut + 1]], n_max + 1, True)
     return BinomialSeries(tuple(out), EXACT, origin)

@@ -378,6 +378,13 @@ def test_convert_series_taylor_round_trip(tmp_path, capsys, geometric_eq):
     assert main(["convert", "--taylor", str(taylor), "--to", "binomial",
                  "--n-terms", "20", "--out", str(back)]) == 0
     assert read_json(back)["coeffs"] == read_json(tmp_path / "series.json")["coeffs"]
+    capsys.readouterr()
+    # a negative cut once sliced from the end and exited 0
+    for argv in (["--series", series, "--to", "taylor", "--m-max", "3", "--k-cut", "-18"],
+                 ["--taylor", str(taylor), "--to", "binomial", "--k-cut", "-18"],
+                 ["--taylor", str(taylor), "--to", "binomial", "--n-terms", "-18"]):
+        assert main(["convert", *argv, "--out", str(tmp_path / "cut.json")]) == 3
+        assert "must be nonnegative" in capsys.readouterr().err
 
 
 def test_solve_and_convert_past_the_int_digit_limit(tmp_path, capsys, order_half_eq):

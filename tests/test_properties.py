@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import stirling
 
@@ -21,9 +21,9 @@ from fallfact.errors import InputFormatError, SingularRecurrenceError
 from fallfact.exact import ExactScalar, as_exact
 from fallfact.interp import newton_series
 from fallfact.polynomial import Polynomial
-from fallfact.series import (BinomialSeries, approx_series, delta, evaluate_exact,
-                             linear_combine, mul_by_poly, mul_by_z, shift,
-                             taylor_from_binomial)
+from fallfact.series import (BinomialSeries, approx_series, binomial_from_taylor, delta,
+                             evaluate_exact, linear_combine, mul_by_poly, mul_by_z,
+                             shift, taylor_from_binomial)
 from fallfact.solver import (DELTA_FORM, LinearDifferenceEquation, derive_recurrence,
                              solve_recurrence)
 
@@ -93,13 +93,43 @@ def test_stirling_rows_match_sympy_to_60():
     assert table.second_kind_row(60) == tuple(map(as_exact, second))
 
 
+_TABLE = StirlingTable()
+
+
+def _table_sum(coeffs, rows, width: int) -> tuple:
+    """sum_k coeffs[k] T[k][n] for n < width, from the table's integer rows."""
+    out = [as_exact(0)] * width
+    for k, c in enumerate(coeffs):
+        for n, t in enumerate(rows(k)[:width]):
+            out[n] = out[n] + c * t
+    return tuple(out)
+
+
 @PROPERTY
 @given(st.lists(gaussian_scalars, max_size=14))
 def test_poly_binomial_round_trip(coeffs):
     p = Polynomial(tuple(coeffs))
     assert binomial_to_poly(poly_to_binomial(p)) == p
+    assert poly_to_binomial(p) == _table_sum(p.coeffs, _TABLE.second_kind_ints, len(p.coeffs))
+    assert binomial_to_poly(coeffs) \
+        == Polynomial(_table_sum(coeffs, _TABLE.first_kind_ints, len(coeffs)))
     if coeffs and not coeffs[-1].is_zero():
         assert poly_to_binomial(binomial_to_poly(coeffs)) == tuple(coeffs)
+
+
+@PROPERTY
+@given(st.lists(gaussian_scalars, max_size=14), st.integers(0, 20), st.integers(0, 13))
+@example([], 3, 0)                              # empty input
+@example([as_exact(1), as_exact(-2)] * 5, 0, 0)  # k_cut = 0, one output
+@example([as_exact(3)] * 4, 12, 2)              # width above the k_cut + 1 inputs
+def test_taylor_conversions_match_stirling_table_sums(coeffs, m_max, k_cut):
+    k_cut = min(k_cut, len(coeffs) - 1) if coeffs else None
+    kept = coeffs[:k_cut + 1] if coeffs else []
+    width = m_max + 1
+    got = taylor_from_binomial(BinomialSeries(tuple(coeffs)), m_max, k_cut)
+    assert got.coeffs == _table_sum(kept, _TABLE.first_kind_ints, width)
+    back = binomial_from_taylor(coeffs, m_max, k_cut)
+    assert back.coeffs == _table_sum(kept, _TABLE.second_kind_ints, width)
 
 
 @settings(max_examples=25, deadline=None)

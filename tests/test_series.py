@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fallfact.basis import StirlingTable, default_table
 from fallfact.errors import EvaluationOverflowError
 from fallfact.exact import ExactScalar, as_exact
 from fallfact.polynomial import Polynomial, poly
@@ -233,6 +234,32 @@ def test_taylor_round_trip_exact():
         t = taylor_from_binomial(s, n)
         back = binomial_from_taylor(t.coeffs, n)
         assert back.coeffs == s.coeffs
+
+
+def test_taylor_conversions_read_no_stirling_rows(monkeypatch):
+    # Horner's rule multiplies by small integers: no table row is built or read
+    rows = len(default_table()._first)
+    calls = []
+    ensure = StirlingTable.ensure
+    monkeypatch.setattr(StirlingTable, "ensure",
+                        lambda table, n: calls.append(n) or ensure(table, n))
+    rng = random.Random(5)
+    s = exact_series([rand_point(rng) for _ in range(200)])
+    t = taylor_from_binomial(s, 199)
+    assert binomial_from_taylor(t.coeffs).coeffs == s.coeffs
+    assert calls == []
+    assert len(default_table()._first) == rows
+
+
+def test_taylor_conversions_refuse_negative_cuts():
+    # a negative cut once sliced from the end: k_cut -3 kept a_0..a_2 of five
+    s = exact_series([1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match="k_cut must be nonnegative"):
+        taylor_from_binomial(s, 4, -3)
+    with pytest.raises(ValueError, match="k_cut must be nonnegative"):
+        binomial_from_taylor([1, 2, 3, 4, 5], 4, -3)
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        binomial_from_taylor([1, 2, 3, 4, 5], -3)
 
 
 def test_taylor_of_single_falling_factorial():
@@ -481,9 +508,11 @@ def test_evaluate_exact_integer_points_match_fraction_sum():
     for _ in range(40):
         s = rand_series(rng, n_max=20)
         m = rng.randint(0, 25)
-        want = sum((a * math.perm(m, n) for n, a in enumerate(s.coeffs)), as_exact(0))
-        assert evaluate_exact(s, m) == want
-        assert evaluate_exact(s, as_exact(m)) == want
+        for point in (m, 0, len(s.coeffs) + 3):  # m = 0 and m past the last a_n too
+            want = sum((a * math.perm(point, n) for n, a in enumerate(s.coeffs)),
+                       as_exact(0))
+            assert evaluate_exact(s, point) == want
+            assert evaluate_exact(s, as_exact(point)) == want
 
 
 def test_evaluate_casts_each_coefficient_once_per_precision(monkeypatch):
