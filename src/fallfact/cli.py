@@ -109,13 +109,18 @@ def _parse_free(pairs: list[str]) -> dict[int, object]:
     return out
 
 
+def _count(value: float, flag: str) -> int:
+    """A sample count read as a float, refused unless a whole number >= 1."""
+    if not (value >= 1 and value.is_integer()):  # NaN and inf too
+        raise InputFormatError(f"{flag} needs whole sample counts >= 1, got {value:g}")
+    return int(value)
+
+
 def _collect_points(args) -> list[complex]:
     pts = [parse_point(t) for t in (args.at or [])]
     if getattr(args, "rect", None):
         re0, re1, im0, im1, nre, nim = args.rect
-        nre, nim = int(nre), int(nim)
-        if nre < 1 or nim < 1:
-            raise InputFormatError("--rect needs positive sample counts")
+        nre, nim = _count(nre, "--rect"), _count(nim, "--rect")
         for i in range(nre):
             re = re0 + (re1 - re0) * (i / (nre - 1) if nre > 1 else 0.0)
             for j in range(nim):
@@ -123,9 +128,9 @@ def _collect_points(args) -> list[complex]:
                 pts.append(complex(re, im))
     if getattr(args, "circle", None):
         radius, count = args.circle
-        count = int(count)
-        if count < 1 or radius < 0:
-            raise InputFormatError("--circle needs radius >= 0 and count >= 1")
+        count = _count(count, "--circle")
+        if not 0 <= radius < math.inf:  # NaN too
+            raise InputFormatError(f"--circle needs a finite radius >= 0, got {radius:g}")
         for k in range(count):
             theta = 2.0 * math.pi * k / count
             pts.append(complex(radius * math.cos(theta), radius * math.sin(theta)))
@@ -204,7 +209,10 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     series = _load_series(args.series)
-    radii = _checked_radii(args.radii)  # refused before anything is printed
+    # both refused before anything is printed
+    radii = _checked_radii(args.radii)
+    if args.samples < 1:
+        raise InputFormatError(f"--samples must be >= 1, got {args.samples}")
     _print_growth(series)
     if not args.fit:
         return 0

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exact import ExactScalar, ONE, ZERO, _Value, as_exact, to_mpc
+from .exact import ExactScalar, ONE, ZERO, _Value, as_exact, integer_numerators, to_mpc
 
 CoeffLike = Union[ExactScalar, Fraction, int, str]
 
@@ -140,18 +140,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a
 
 
-def _rational_content(p: Polynomial) -> tuple[int, int]:
-    """(num_gcd, den_lcm) over all Fraction components of all coefficients."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.coeffs:
-        for part in (c.re, c.im):
-            if part:
-                num_gcd = math.gcd(num_gcd, abs(part.numerator))
-                den_lcm = den_lcm * part.denominator // math.gcd(den_lcm, part.denominator)
-    return num_gcd, den_lcm
-
-
 def format_poly(p: Polynomial, var: str = "z") -> str:
     """Human formatting, descending powers, no spaces: "64z^2+80z+9"."""
     if p.is_zero():
@@ -181,12 +169,12 @@ def format_poly(p: Polynomial, var: str = "z") -> str:
 
 
 class RationalFunction(_Value):
-    """num/den in canonical reduced form.
+    """num/den in canonical reduced form, so field equality is semantic.
 
-    Canonicalization: cancel the monic gcd, rescale by a single positive
-    rational so the coefficient components are jointly integer and primitive,
-    then fix the sign so the denominator's leading coefficient has positive
-    real part (positive imaginary part when the real part vanishes).
+    Canonicalization: cancel the monic gcd, divide num and den by den's
+    leading coefficient, then multiply both by the one positive rational that
+    makes their coefficient components jointly integer and primitive.  The
+    denominator's leading coefficient is then a positive integer.
     """
 
     _fields = ("num", "den")
@@ -202,25 +190,12 @@ class RationalFunction(_Value):
         if g.degree != 0:
             num, _ = divmod(num, g)
             den, _ = divmod(den, g)
-        ng, nl = _rational_content(num)
-        dg, dl = _rational_content(den)
-        den_lcm = nl * dl // math.gcd(nl, dl)
-        scale = ExactScalar(Fraction(den_lcm, math.gcd(ng * den_lcm // nl, dg * den_lcm // dl)))
-        num, den = num * scale, den * scale
-        # Unit normalization over {1, -1, i, -i}: rotate so the denominator's
-        # leading coefficient is lexicographically maximal in (re, im).  This
-        # makes the representative unique, so field equality is semantic.
-        lead = den.leading()
-        best = None
-        for u in (ExactScalar(Fraction(1)), ExactScalar(Fraction(-1)),
-                  ExactScalar(Fraction(0), Fraction(1)), ExactScalar(Fraction(0), Fraction(-1))):
-            cand = lead * u
-            key = (cand.re, cand.im)
-            if best is None or key > best[0]:
-                best = (key, u)
-        unit = best[1]
-        object.__setattr__(self, "num", num * unit)
-        object.__setattr__(self, "den", den * unit)
+        inv = ONE / den.leading()
+        num, den = num * inv, den * inv
+        nums, common = integer_numerators(num.coeffs + den.coeffs)
+        scale = Fraction(common, math.gcd(*(x for pair in nums for x in pair)))
+        object.__setattr__(self, "num", num * scale)
+        object.__setattr__(self, "den", den * scale)
 
     def __call__(self, z: CoeffLike) -> ExactScalar:
         return self.num(z) / self.den(z)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
 from .errors import InputFormatError
-from .exact import ExactScalar, as_exact
+from .exact import as_exact
 from .polynomial import Polynomial
 from .series import APPROX, BinomialSeries, EXACT, EvaluationResult
 from .solver import (CoefficientRecurrence, LinearDifferenceEquation,
@@ -28,10 +28,6 @@ from .solver import (CoefficientRecurrence, LinearDifferenceEquation,
 from .analysis import ModulusProfile
 
 FORMAT_VERSION = 1
-
-
-def _scalar_str(c: ExactScalar) -> str:
-    return str(c)
 
 
 def _typed(data, kind: type, what: str):
@@ -60,7 +56,7 @@ def decode_sample(v):
 
 
 def polynomial_to_json(p: Polynomial) -> list[str]:
-    return [_scalar_str(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def polynomial_from_json(data: list[str]) -> Polynomial:
@@ -74,7 +70,7 @@ def series_to_json(series: BinomialSeries) -> dict:
     if series.regime == EXACT:
         return {"format_version": FORMAT_VERSION, "regime": EXACT,
                 "origin": series.origin,
-                "coeffs": [_scalar_str(c) for c in series.coeffs]}
+                "coeffs": [str(c) for c in series.coeffs]}
     pairs = []
     for c in series.coeffs:
         cc = complex(c)
@@ -119,7 +115,7 @@ def recurrence_to_json(rec: CoefficientRecurrence) -> dict:
     return {"format_version": FORMAT_VERSION,
             "q": [polynomial_to_json(p) for p in rec.q],
             "n_start": rec.n_start,
-            "prefix_constraints": [[_scalar_str(c) for c in row]
+            "prefix_constraints": [[str(c) for c in row]
                                    for row in rec.prefix_constraints]}
 
 

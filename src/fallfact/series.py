@@ -8,11 +8,12 @@ remain faithful to the underlying series (delta: N-1, shift by m: N-m,
 mul_by_z: N+1, and so on); beyond that the entries are still the exact
 transform of the stored polynomial.  delta, mul_by_z and mul_by_poly (by
 Horner's rule in z) apply _SeqOperator, the operator calculus the solver
-also derives its recurrences in, so how delta and z act on coefficients is
-decided in that one class; an application sums integer numerators over one
-common denominator.  shift (as (1 + delta)^m) runs Horner's rule with
-delta's rule inline instead, so that it multiplies by small integers only
-and costs O(N min(m, N)).
+also derives its recurrences in; an application sums integer numerators
+over one common denominator.  How delta and z act on coefficients is
+written there, and repeated on purpose in two loops that multiply by small
+integers only: shift (as (1 + delta)^m, in O(N min(m, N))) runs delta's
+rule inline, and basis._change_basis runs z's rule towards falling
+factorials.
 
 The regime says how the coefficients are stored: "exact" series hold
 Gaussian rationals, "approx" series hold binary64 values (Python floats or
@@ -44,7 +45,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # default_table is not called here; it stays importable because perfbench's
 # CLI tour replay swaps it on this module
@@ -63,7 +65,7 @@ APPROX = "approx"
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_EPS = 1e-12
 DEFAULT_N_MAX = 10000
-DEFAULT_WINDOW = 5  # consecutive small terms required before stopping
+WINDOW = 5  # consecutive small terms required before stopping
 
 # |term| beyond this aborts evaluation; mpmath itself would happily continue.
 OVERFLOW_EXPONENT = 100000
@@ -191,9 +193,9 @@ def approx_series(coeffs: Iterable, origin: str = "") -> BinomialSeries:
 class _SeqOperator:
     """sum_s r_s(n) sigma^s acting on sequences, (sigma^s a)_n = a_{n+s}.
 
-    delta_op and z_multiplication are the only action rules; all else
-    composes.  shift alone runs delta's rule in a loop of its own, which
-    keeps its multipliers small.
+    delta_op and z_multiplication are the action rules; all else composes.
+    shift runs delta's rule, and basis._change_basis z's, in a loop of its
+    own, which keeps their multipliers small.
     """
 
     __slots__ = ("terms",)
@@ -403,20 +405,21 @@ def evaluate_exact(series: BinomialSeries, z) -> ExactScalar:
             re = a_re + (m - n) * re
             im = a_im + (m - n) * im
         return from_numerators(re, im, den)
-    total = ZERO
+    return sum(_exact_terms(series, zz), ZERO)
+
+
+def _exact_terms(series: BinomialSeries, z: ExactScalar) -> Iterator[ExactScalar]:
+    """a_n z^(n_) for each stored a_n, with z^(n_) = z^((n-1)_) (z - n + 1)."""
     ff = ONE
     for n, a in enumerate(series._exact_coeffs):
         if n:
-            ff = ff * (zz - (n - 1))
-        if not a.is_zero():
-            total = total + a * ff
-    return total
+            ff = ff * (z - (n - 1))
+        yield a * ff
 
 
 def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
              n_max: int = DEFAULT_N_MAX, *,
-             precision_bits: int = DEFAULT_PRECISION_BITS,
-             window: int = DEFAULT_WINDOW) -> EvaluationResult:
+             precision_bits: int = DEFAULT_PRECISION_BITS) -> EvaluationResult:
     """Partial sum of sum a_n z^(n_) with multiplicative falling-factorial updates.
 
     Stopping rules, in order of priority:
@@ -424,7 +427,7 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
         whatever its type: 8, 8.0, mpf(8) and ExactScalar(8) alike.  Terms
         beyond n = m vanish identically, so the sum terminates at min(m, N);
         it is summed exactly, cast once and converged unconditionally.
-      * window rule: |term| < eps * max(1, |partial|) for `window` consecutive
+      * window rule: |term| < eps * max(1, |partial|) for WINDOW consecutive
         terms, allowed only once n >= ceil(|z|) + 5 (|z^(n_)| can grow before
         coefficient decay takes over).
       * exhaustion: all stored coefficients consumed; the value is then the
@@ -461,7 +464,7 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     min_index = int(ctx.ceil(abs(zz))) + 5
 
     re, im, exp, units, recent, terms_used, by_window = _fixed_point_sum(
-        series, ctx, point, limit, min_index, eps, window)
+        series, ctx, point, limit, min_index, eps)
     from mpmath.libmp import from_man_exp
     value = ctx.make_mpc((from_man_exp(re, exp, precision_bits, "n"),
                           from_man_exp(im, exp, precision_bits, "n")))
@@ -474,7 +477,7 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     mags = _term_abs(recent if by_window else list(recent)[-1:], ctx)
     if by_window:
         converged, reason = True, "window"
-        tail = _geometric_tail(mags, window)
+        tail = _geometric_tail(mags)
     elif capped:
         # the cap cut the sum short of its natural end, integer point or not
         converged, reason, tail = False, "n_max", math.inf
@@ -485,7 +488,7 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
 
 
 def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit: int,
-                     min_index: int, eps, window: int) -> tuple:
+                     min_index: int, eps) -> tuple:
     """Terms 0..limit of sum a_n z^(n_), summed in Gaussian-integer fixed point.
 
     point is z as (re, im, exp) with exp <= 0, so z - n is exact.  z^(n_) is
@@ -506,7 +509,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
         rho <= (1 + 4u)^k - 1 <= 8uk while 4uk <= 1/2;
       * less than sqrt(2) units for each floor of a term or of the sum,
         counted at the final exponent, which only rises.
-    recent holds the last `window` terms as exact (re, im, exp).
+    recent holds the last WINDOW terms as exact (re, im, exp).
     """
     prec = ctx.prec
     width = prec + GUARD
@@ -526,9 +529,8 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     total = rounded_total = 0  # bounds of sum |term| in units of 2^es: all, rounded casts
     rescales = floors = 0
     casts = ()
-    # the final window of terms, for the tail bound (a window <= 0 slices
-    # from the front in _geometric_tail, so then every term is kept)
-    recent: deque = deque(maxlen=window if window > 0 else None)
+    window = WINDOW
+    recent: deque = deque(maxlen=window)  # the final window, for the tail bound
     streak = 0
     by_window = False
     for n in range(limit + 1):
@@ -643,10 +645,10 @@ def _float_up(q: Fraction) -> float:
     return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
-def _geometric_tail(mags: Sequence, window: int) -> float:
+def _geometric_tail(mags: Sequence) -> float:
     """Ratio-test style bound from the final window of term magnitudes."""
     tail_ratio = 0.0
-    recent = mags[-window:]
+    recent = mags[-WINDOW:]
     for prev, cur in zip(recent, recent[1:]):
         if prev == 0:
             continue
@@ -717,15 +719,9 @@ def evaluate_accelerated(series: BinomialSeries, z, *,
         return AcceleratedResult(to_mpc(evaluate_exact(series, zz), ctx),
                                  max(stop + 1, 0), 0.0, True, "integer")
 
-    terms, sums = [], []
-    total, ff = ZERO, ONE
-    for n, a in enumerate(series._exact_coeffs):
-        if n:
-            ff = ff * (zz - (n - 1))
-        term = a * ff
-        total = total + term
-        terms.append(term)
-        sums.append(total)
+    terms = list(_exact_terms(series, zz))
+    sums = list(accumulate(terms))
+    total = sums[-1] if sums else ZERO
     used = len(terms)
     if used != 1 and all(t.is_zero() for t in terms[-2:]):
         return AcceleratedResult(to_mpc(total, ctx), used, 0.0, True, "terminated")

@@ -375,10 +375,13 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
     stepping right until Re z crosses re_threshold, then summing directly.
     A needed point w where |b_0(w)| <= 2^(-precision_bits/2) sum_k |c_k| |w|^k
     (c_k the coefficients of b_0) is taken for a zero of b_0, where the
-    division would return cancellation garbage: PoleError.  A non-finite z
-    raises ValueError and a series that classify leaves unknown
-    InputFormatError.
+    division would return cancellation garbage: PoleError.  A non-finite z or
+    a NaN re_threshold raises ValueError, a series that classify leaves
+    unknown or a point more than MAX_CONTINUATION_STEPS steps left of the
+    threshold InputFormatError.  re_threshold -inf sums directly.
     """
+    if re_threshold is not None and math.isnan(re_threshold):
+        raise ValueError("re_threshold must not be NaN")
     shift_eq = to_shift_form(eq)
     p = shift_eq.order
     if p < 1:
@@ -400,7 +403,8 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
         res = evaluate(series, zz, eps, n_max, precision_bits=precision_bits)
         return ContinuationResult(res.value, res.converged, 0, 1, re_threshold)
 
-    k_steps = int(math.floor(re_threshold - re_z)) + 1
+    gap = re_threshold - re_z
+    k_steps = math.floor(gap) + 1 if gap < math.inf else gap  # inf has no floor
     if k_steps > MAX_CONTINUATION_STEPS:
         raise InputFormatError(
             f"continuation would need {k_steps} steps (cap {MAX_CONTINUATION_STEPS})")

@@ -26,6 +26,11 @@ def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def read_csv(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
 @pytest.fixture
 def geometric_eq(tmp_path):
     return write_json(tmp_path / "geometric.json",
@@ -119,7 +124,7 @@ def test_eval_writes_csv(tmp_path, capsys, geometric_eq):
     code = main(["eval", "--series", series, "--at", "2.25", "--at", "1+1i",
                  "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = read_csv(out)
     assert rows[0] == ["z_re", "z_im", "val_re", "val_im", "terms", "converged"]
     assert len(rows) == 3
     got = float(rows[1][2])
@@ -132,10 +137,10 @@ def test_eval_grid_and_circle_points(tmp_path, geometric_eq):
     out = tmp_path / "grid.csv"
     assert main(["eval", "--series", series, "--rect", "0", "1", "0", "1",
                  "2", "2", "--out", str(out)]) == 0
-    assert len(list(csv.reader(out.open()))) == 5
+    assert len(read_csv(out)) == 5
     assert main(["eval", "--series", series, "--circle", "1.5", "4",
                  "--out", str(out)]) == 0
-    assert len(list(csv.reader(out.open()))) == 5
+    assert len(read_csv(out)) == 5
 
 
 def test_eval_no_points_is_exit_3(tmp_path, capsys, geometric_eq):
@@ -155,7 +160,7 @@ def test_eval_strict_nonconvergence_is_exit_4(tmp_path, capsys):
     # same run without --strict still writes the CSV and exits 0
     assert main(["eval", "--series", ones, "--at", "0.5", "--n-max", "30",
                  "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = read_csv(out)
     assert rows[1][5] == "0"
 
 
@@ -184,7 +189,7 @@ def test_analyze_fit_profile(tmp_path, capsys, order_half_eq):
     text = capsys.readouterr().out
     assert "M(4)" in text and "M(16)" in text
     assert "rho_fit" in text and "tau_fit" in text
-    rows = list(csv.reader(prof.open()))
+    rows = read_csv(prof)
     assert rows[0] == ["radius", "max_modulus", "valid"]
     assert len(rows) == 4
 
@@ -272,7 +277,7 @@ def test_riccati_verify_passes(tmp_path, capsys):
     assert "max_residual" in text
     worst = float(text.split("max_residual")[1].split()[0])
     assert worst < 1e-8
-    rows = list(csv.reader(out.open()))
+    rows = read_csv(out)
     assert rows[0] == ["z_re", "z_im", "residual"]
     assert len(rows) == 7  # six default points
 
@@ -587,6 +592,63 @@ def test_nan_point_is_exit_3_in_continue_eval(tmp_path, capsys, geometric_eq):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "fallfact: cannot evaluate with a non-finite value\n"
+
+
+@pytest.mark.parametrize("flag", [
+    ["--rect", "0", "1", "0", "1", "inf", "2"],
+    ["--rect", "0", "1", "0", "1", "2", "nan"],
+    ["--rect", "0", "1", "0", "1", "2.5", "2"],
+    ["--rect", "0", "1", "0", "1", "0", "2"],
+    ["--circle", "3", "inf"],
+    ["--circle", "3", "nan"],
+    ["--circle", "3", "-inf"],
+    ["--circle", "nan", "4"],
+    ["--circle", "inf", "4"],
+    ["--circle", "-1", "4"],
+])
+@pytest.mark.parametrize("command", ["eval", "continue-eval"])
+def test_bad_point_counts_and_radii_are_exit_3(tmp_path, capsys, geometric_eq, command, flag):
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
+    head = {"eval": ["eval", "--series", series],
+            "continue-eval": ["continue-eval", "--equation", geometric_eq,
+                              "--series", series]}[command]
+    capsys.readouterr()
+    assert main(head + flag) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"fallfact: {flag[0]} needs ")
+
+
+@pytest.mark.parametrize("threshold, message", [
+    ("nan", "fallfact: re_threshold must not be NaN\n"),
+    ("inf", "fallfact: continuation would need inf steps (cap 10000)\n"),
+], ids=["nan", "inf"])
+def test_non_finite_continuation_threshold_is_exit_3(tmp_path, capsys, geometric_eq,
+                                                     threshold, message):
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
+    capsys.readouterr()
+    assert main(["continue-eval", "--equation", geometric_eq, "--series", series,
+                 "--threshold", threshold, "--at", "-3"]) == 3
+    assert capsys.readouterr() == ("", message)
+
+
+def test_analyze_bad_sample_count_is_exit_3_before_any_output(tmp_path, capsys,
+                                                               geometric_eq):
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
+    capsys.readouterr()
+    assert main(["analyze", "--series", series, "--fit", "--samples", "0"]) == 3
+    assert capsys.readouterr() == ("", "fallfact: --samples must be >= 1, got 0\n")
+
+
+def test_non_finite_counts_and_thresholds_exit_3_without_a_traceback(tmp_path, order_half_eq):
+    series = solve_series(tmp_path, order_half_eq, ["0=1", "1=-1/2"], n_terms=40)
+    for argv in (["eval", "--series", series, "--rect", "0", "1", "0", "1", "inf", "2"],
+                 ["eval", "--series", series, "--circle", "3", "inf"],
+                 ["continue-eval", "--equation", order_half_eq, "--series", series,
+                  "--threshold", "inf", "--at", "-3"]):
+        proc = _fresh_python(tmp_path, "-m", "fallfact.cli", *argv)
+        assert (proc.returncode, proc.stdout) == (3, ""), argv
+        assert proc.stderr.startswith("fallfact: ") and "Traceback" not in proc.stderr, argv
 
 
 def test_precision_environment_variable_changes_nothing(tmp_path, monkeypatch, geometric_eq):

@@ -20,7 +20,7 @@ from fallfact.basis import StirlingTable, binomial_to_poly, poly_to_binomial
 from fallfact.errors import InputFormatError, SingularRecurrenceError
 from fallfact.exact import ExactScalar, as_exact
 from fallfact.interp import newton_series
-from fallfact.polynomial import Polynomial
+from fallfact.polynomial import Polynomial, RationalFunction, poly
 from fallfact.series import (BinomialSeries, approx_series, binomial_from_taylor, delta,
                              evaluate_exact, linear_combine, mul_by_poly, mul_by_z,
                              shift, taylor_from_binomial)
@@ -334,3 +334,50 @@ def test_solver_integer_equations(coeffs, free_draw):
        st.lists(gaussian_scalars, min_size=1, max_size=4))
 def test_solver_gaussian_equations(coeffs, free_draw):
     _check_solver(coeffs, free_draw)
+
+
+# ---------------------------------------------------------------------------
+# RationalFunction: one canonical form for each function
+# ---------------------------------------------------------------------------
+
+nonzero_gaussians = gaussian_scalars.filter(lambda c: not c.is_zero())
+polynomials = st.lists(gaussian_scalars, max_size=4).map(Polynomial)
+nonzero_polynomials = polynomials.filter(lambda p: not p.is_zero())
+ONE_PLUS_I = ExactScalar(1, 1)
+RATIONAL_POINTS = [Fraction(k, 3) for k in range(-4, 5)]
+
+
+@PROPERTY
+@given(polynomials, nonzero_polynomials, nonzero_gaussians)
+@example(poly(1), poly(0, 1), ONE_PLUS_I)  # (1+i)/((1+i)z) is 1/z
+def test_rational_function_form_ignores_a_common_scalar(num, den, c):
+    assert RationalFunction(num * c, den * c) == RationalFunction(num, den)
+
+
+@PROPERTY
+@given(polynomials, nonzero_polynomials, nonzero_polynomials)
+@example(poly(1), poly(0, 1), poly(ONE_PLUS_I))
+def test_rational_function_form_ignores_a_common_factor(num, den, p):
+    assert RationalFunction(num * p, den * p) == RationalFunction(num, den)
+
+
+@PROPERTY
+@given(polynomials, nonzero_polynomials)
+@example(poly(ONE_PLUS_I), poly(0, ONE_PLUS_I))
+def test_rational_function_form_is_primitive_with_a_positive_integer_lead(num, den):
+    rf = RationalFunction(num, den)
+    parts = [x for c in rf.num.coeffs + rf.den.coeffs for x in (c.re, c.im)]
+    assert all(x.denominator == 1 for x in parts)
+    assert math.gcd(*(x.numerator for x in parts)) == 1
+    lead = rf.den.leading()
+    assert lead.is_integer() and lead.re > 0
+
+
+@PROPERTY
+@given(polynomials, nonzero_polynomials)
+@example(poly(ONE_PLUS_I), poly(0, ONE_PLUS_I))
+def test_rational_function_keeps_its_values(num, den):
+    rf = RationalFunction(num, den)
+    for x in RATIONAL_POINTS:
+        if not den(x).is_zero():
+            assert rf(x) == num(x) / den(x)

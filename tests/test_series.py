@@ -308,7 +308,7 @@ def test_taylor_approx_regime():
 # ---------------------------------------------------------------------------
 
 def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=128,
-                        window=5, margins=None):
+                        margins=None):
     """The ctx.mpc loop evaluate ran before the fixed-point kernel, kept as an
     oracle, with evaluate's one integer-point rule.
 
@@ -352,14 +352,14 @@ def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=128
                 margins.append(abs(mag / scale - 1))
         if small:
             streak += 1
-            if streak >= window:
+            if streak >= 5:  # series.WINDOW
                 by_window = True
                 break
         else:
             streak = 0
         ff *= zz - n
     if by_window:
-        converged, reason, tail = True, "window", _geometric_tail(mags, window)
+        converged, reason, tail = True, "window", _geometric_tail(mags)
     elif capped:
         converged, reason, tail = False, "n_max", math.inf
     else:
@@ -434,7 +434,7 @@ def test_evaluate_encloses_the_exact_sum():
     points = [complex(1024.0 ** (k / 7) * math.cos(a), 1024.0 ** (k / 7) * math.sin(a))
               for k, a in ((k, rng.uniform(0, 2 * math.pi)) for k in range(8))]
     points += [7 + 0j, 7.0, 12, 2.25]
-    settings = [dict(eps=eps, window=w) for eps in (1e-12, 1e-30) for w in (1, 7)]
+    settings = [dict(eps=eps) for eps in (1e-12, 1e-30)]
     settings.append(dict(eps=1e-12, n_max=40))
     compared = near = 0
     inexact = [False] * 3  # some value differs from its exact sum
@@ -552,16 +552,18 @@ def test_evaluate_casts_each_coefficient_once_per_precision(monkeypatch):
 
 
 def test_window_rule_is_exact_at_its_threshold():
-    # 1 + 2^-40 z^(6_) at z = 1/2: the term at n = 6 = ceil|z| + 5 is
-    # -945 2^-46 and the partial sum lies in (0, 1), so the window rule
-    # compares |term| with eps itself, which must exceed it strictly
-    s = exact_series([1, 0, 0, 0, 0, 0, Fraction(1, 2 ** 40)])
+    # 1 + 2^-40 z^(6_) + 5 z^(11_) at z = 1/2: the term at n = 6 = ceil|z| + 5
+    # is -945 2^-46 and the partial sum lies in (0, 1), so the window rule
+    # compares |term| with eps itself, which must exceed it strictly.  Terms
+    # 7..10 vanish, so the window of five closes at n = 10 only when the term
+    # at n = 6 is small; otherwise the large term at n = 11 breaks the streak
+    s = exact_series([1, 0, 0, 0, 0, 0, Fraction(1, 2 ** 40), 0, 0, 0, 0, 5])
     at = 945 * 2.0 ** -46
-    for eps, reason in ((math.nextafter(at, 0), "exhausted"), (at, "exhausted"),
-                        (math.nextafter(at, 1), "window")):
+    for eps, want in ((math.nextafter(at, 0), ("exhausted", 12)), (at, ("exhausted", 12)),
+                      (math.nextafter(at, 1), ("window", 11))):
         for bits in (53, 128):
-            res = evaluate(s, 0.5, eps, window=1, precision_bits=bits)
-            assert (res.reason, res.terms_used) == (reason, 7), (eps, bits)
+            res = evaluate(s, 0.5, eps, precision_bits=bits)
+            assert (res.reason, res.terms_used) == want, (eps, bits)
 
 
 def test_threads_share_the_cast_memo_safely():

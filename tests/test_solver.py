@@ -315,6 +315,30 @@ def test_continuation_step_cap():
         continuation_eval(eq, s, -20000.0)
 
 
+def test_continuation_threshold_nan_is_refused_before_any_evaluation(monkeypatch):
+    import fallfact.solver as solver_mod
+    eq, s = doubling_setup()
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(solver_mod, "evaluate", no_evaluation)
+    for z in (-3.0, 5.0):
+        with pytest.raises(ValueError, match="re_threshold must not be NaN"):
+            continuation_eval(eq, s, z, re_threshold=math.nan)
+
+
+def test_continuation_threshold_infinities():
+    eq, s = doubling_setup()
+    # +inf is infinitely many steps away: the step cap refuses it
+    with pytest.raises(InputFormatError, match="cap"):
+        continuation_eval(eq, s, -3.0, re_threshold=math.inf)
+    # -inf puts every point right of the threshold: summed directly
+    res = continuation_eval(eq, s, -0.5, re_threshold=-math.inf)
+    assert (res.steps, res.threshold) == (0, -math.inf)
+    assert res.value == evaluate(s, -0.5).value
+
+
 def test_default_threshold_shrinks_with_truncation():
     _, short = doubling_setup(20)
     _, long = doubling_setup(500)
