@@ -7,7 +7,7 @@ remapped from its default of 2 to 3 so that 2 stays meaningful.
 The commands that evaluate (eval, analyze, riccati verify, continue-eval)
 take --precision-bits, --eps and --n-max, defaulting to the series module's
 defaults; those flags are the only numeric settings of a run.  Out-of-range
-values (precision < 53, eps not > 0, n_max < 16) exit 3 before any work.
+values (precision < 53, eps not in (0, inf), n_max < 16) exit 3 before any work.
 """
 
 from __future__ import annotations
@@ -109,6 +109,9 @@ def _parse_free(pairs: list[str]) -> dict[int, object]:
     return out
 
 
+MAX_POINTS = 10 ** 6  # points one command may evaluate, counted before any is built
+
+
 def _count(value: float, flag: str) -> int:
     """A sample count read as a float, refused unless a whole number >= 1."""
     if not (value >= 1 and value.is_integer()):  # NaN and inf too
@@ -118,32 +121,41 @@ def _count(value: float, flag: str) -> int:
 
 def _collect_points(args) -> list[complex]:
     pts = [parse_point(t) for t in (args.at or [])]
-    if getattr(args, "rect", None):
-        re0, re1, im0, im1, nre, nim = args.rect
+    rect, circle = getattr(args, "rect", None), getattr(args, "circle", None)
+    nre = nim = count = 0
+    if rect:
+        re0, re1, im0, im1, nre, nim = rect
         nre, nim = _count(nre, "--rect"), _count(nim, "--rect")
-        for i in range(nre):
-            re = re0 + (re1 - re0) * (i / (nre - 1) if nre > 1 else 0.0)
-            for j in range(nim):
-                im = im0 + (im1 - im0) * (j / (nim - 1) if nim > 1 else 0.0)
-                pts.append(complex(re, im))
-    if getattr(args, "circle", None):
-        radius, count = args.circle
+    if circle:
+        radius, count = circle
         count = _count(count, "--circle")
         if not 0 <= radius < math.inf:  # NaN too
             raise InputFormatError(f"--circle needs a finite radius >= 0, got {radius:g}")
-        for k in range(count):
-            theta = 2.0 * math.pi * k / count
-            pts.append(complex(radius * math.cos(theta), radius * math.sin(theta)))
+    _check_point_total(len(pts) + nre * nim + count, "--at, --rect and --circle")
+    for i in range(nre):
+        re = re0 + (re1 - re0) * (i / (nre - 1) if nre > 1 else 0.0)
+        for j in range(nim):
+            im = im0 + (im1 - im0) * (j / (nim - 1) if nim > 1 else 0.0)
+            pts.append(complex(re, im))
+    for k in range(count):
+        theta = 2.0 * math.pi * k / count
+        pts.append(complex(radius * math.cos(theta), radius * math.sin(theta)))
     if not pts:
         raise InputFormatError("no evaluation points given (use --at/--rect/--circle)")
     return pts
 
 
+def _check_point_total(total: int, flags: str) -> None:
+    """Refuse more than MAX_POINTS points; called before any point is built."""
+    if total > MAX_POINTS:
+        raise InputFormatError(f"{flags} give {total} points; at most {MAX_POINTS} are allowed")
+
+
 def _check_numeric_flags(args) -> None:
     if args.precision_bits < 53:
         raise InputFormatError("precision_bits must be >= 53")
-    if not args.eps > 0:  # NaN too
-        raise InputFormatError("eps must be positive")
+    if not 0 < args.eps < math.inf:  # NaN too
+        raise InputFormatError(f"--eps must be positive and finite, got {args.eps:g}")
     if args.n_max < 16:
         raise InputFormatError("n_max must be >= 16")
 
@@ -213,6 +225,7 @@ def cmd_analyze(args) -> int:
     radii = _checked_radii(args.radii)
     if args.samples < 1:
         raise InputFormatError(f"--samples must be >= 1, got {args.samples}")
+    _check_point_total(args.samples * len(radii), "--samples times --radii")
     _print_growth(series)
     if not args.fit:
         return 0

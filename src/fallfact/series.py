@@ -43,7 +43,6 @@ coefficient is cast at most once per precision.
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -427,9 +426,10 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
         whatever its type: 8, 8.0, mpf(8) and ExactScalar(8) alike.  Terms
         beyond n = m vanish identically, so the sum terminates at min(m, N);
         it is summed exactly, cast once and converged unconditionally.
-      * window rule: |term| < eps * max(1, |partial|) for WINDOW consecutive
-        terms, allowed only once n >= ceil(|z|) + 5 (|z^(n_)| can grow before
-        coefficient decay takes over).
+      * window rule: |term| < eps * max(1, |partial|), tested exactly, for
+        WINDOW consecutive terms, allowed only once n >= ceil(|z|) + 5
+        (|z^(n_)| can grow before coefficient decay takes over).  eps <= 0,
+        NaN and inf never stop a sum.
       * exhaustion: all stored coefficients consumed; the value is then the
         exact finite sum of the stored object and is reported converged.
       * n_max reached first: returned with converged=False.  The cap holds
@@ -463,7 +463,7 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     limit = n_max if capped else top_index
     min_index = int(ctx.ceil(abs(zz))) + 5
 
-    re, im, exp, units, recent, terms_used, by_window = _fixed_point_sum(
+    re, im, exp, units, terms, terms_used, by_window = _fixed_point_sum(
         series, ctx, point, limit, min_index, eps)
     from mpmath.libmp import from_man_exp
     value = ctx.make_mpc((from_man_exp(re, exp, precision_bits, "n"),
@@ -474,7 +474,7 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     radius = _float_up(units * scale + abs(err.re) + abs(err.im))
 
     # |term| of the final window for the tail bound, else of the last term alone
-    mags = _term_abs(recent if by_window else list(recent)[-1:], ctx)
+    mags = _term_abs(terms, ctx)
     if by_window:
         converged, reason = True, "window"
         tail = _geometric_tail(mags)
@@ -498,7 +498,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     of it, and each term is floored into it.  The window rule stops the
     sum early; the overflow test rounds the term to the precision first.
 
-    Returns (re, im, exp, units, recent, terms_used, by_window): the partial
+    Returns (re, im, exp, units, terms, terms_used, by_window): the partial
     sum is (re + im i) 2^exp, and units 2^exp bounds its distance from the
     exact sum of the terms used (stored a_n, z as point holds it) before the
     final cast.  The bound adds, with k the rescales of z^(n_) and u = 2^-width:
@@ -509,18 +509,16 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
         rho <= (1 + 4u)^k - 1 <= 8uk while 4uk <= 1/2;
       * less than sqrt(2) units for each floor of a term or of the sum,
         counted at the final exponent, which only rises.
-    recent holds the last WINDOW terms as exact (re, im, exp).
+    terms holds, as exact (re, im, exp), the final window (the run of WINDOW
+    small terms) when the window rule fired, else the last term alone.
     """
     prec = ctx.prec
     width = prec + GUARD
     zr, zi, ez = point
     unit = 1 << -ez
-    eps = ctx.mpf(eps)
-    sign, man, exp, bc = eps._mpf_
-    positive = not sign and man  # and finite
-    eps_exact = lift(eps).re if positive else None
-    eps_top = exp + bc           # eps in [2^(eps_top-1), 2^eps_top)
-    every_small = eps._mpf_ == ctx.inf._mpf_
+    # eps^2 = e_sq 4^e_exp; 0 for eps <= 0, NaN and inf, which make no term small
+    sign, man, e_exp, _ = ctx.mpf(eps)._mpf_
+    e_sq = 0 if sign else man * man
     overflow_top = _OVERFLOW_TOP
     fr, fi, ef = 1, 0, 0  # carried z^(n_) = (fr + fi i) 2^ef
     dr = zr               # re(z - n) at exponent ez
@@ -529,10 +527,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     total = rounded_total = 0  # bounds of sum |term| in units of 2^es: all, rounded casts
     rescales = floors = 0
     casts = ()
-    window = WINDOW
-    recent: deque = deque(maxlen=window)  # the final window, for the tail bound
-    streak = 0
-    by_window = False
+    run = []  # the current run of small terms, as exact (re, im, exp)
     for n in range(limit + 1):
         if n:
             # z^(n_) = z^((n-1)_) (z - n + 1) exactly, then floored to width bits
@@ -556,7 +551,6 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
         else:
             tr, ti = ar * fr, ar * fi
         et = ea + ef
-        recent.append((tr, ti, et))
         b = (abs(tr) | abs(ti)).bit_length()
         if b:
             top = b + et  # |term| in [2^(top-1), 2^(top+1/2))
@@ -587,42 +581,31 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
             if rounded:
                 rounded_total += bound
         if n >= min_index:
-            if not positive:
-                small = every_small
-            elif not b:
-                small = True
+            # |t|^2 < eps^2 max(1, |p|^2) as t_sq 2^gap < rhs, both integers:
+            # the side at the higher exponent is shifted down to the other's,
+            # exact as t < x iff t < ceil(x) and x < r iff floor(x) < r
+            t_sq = tr * tr + ti * ti
+            p_sq = pr * pr + pi * pi
+            if p_sq and p_sq.bit_length() + 2 * es > 0:  # |p| >= 1
+                rhs, gap = e_sq * p_sq, 2 * (et - e_exp - es)
             else:
-                # exponents decide unless the two sides come within a few binades
-                pb = (abs(pr) | abs(pi)).bit_length()
-                p_top = pb + es if pb else 0  # max(1, |partial|) in [2^lo, 2^(hi+1/2))
-                lo, hi = (p_top - 1, p_top) if p_top > 0 else (0, 0)
-                if top + 2 <= eps_top + lo:
-                    small = True
-                elif top >= eps_top + hi + 2:
-                    small = False
-                else:
-                    small = _below(tr, ti, et, pr, pi, es, eps_exact)
-            if small:
-                streak += 1
-                if streak >= window:
-                    by_window = True
+                rhs, gap = e_sq, 2 * (et - e_exp)
+            if (t_sq < -(-rhs >> gap)) if gap >= 0 else (t_sq >> -gap < rhs):
+                run.append((tr, ti, et))
+                if len(run) == WINDOW:
                     break
             else:
-                streak = 0
+                run = []
+    by_window = len(run) == WINDOW
+    if not by_window:
+        run = [(tr, ti, et)] if limit >= 0 else []
     # 4 2^-prec (1 + rho) rounded_total + rho total with rho <= rescales 2^-d,
     # rounded up; 4uk <= 1/2 holds, as 2^(width - 3) terms are never stored
     d = width - 3
     bound = rounded_total * ((1 << d) + rescales) * 4 + (total * rescales << prec)
     units = -(-bound >> (d + prec)) + 2 * floors
     terms_used = n + 1 if by_window else max(limit + 1, 0)
-    return pr, pi, es or 0, units, recent, terms_used, by_window
-
-
-def _below(tr: int, ti: int, et: int, pr: int, pi: int, es: int, eps: Fraction) -> bool:
-    """|t| < eps max(1, |p|) exactly, for t = (tr + ti i) 2^et and p = (pr + pi i) 2^es."""
-    t_squared = (tr * tr + ti * ti) * Fraction(4) ** et
-    p_squared = (pr * pr + pi * pi) * Fraction(4) ** es
-    return t_squared < eps * eps * max(1, p_squared)
+    return pr, pi, es or 0, units, run, terms_used, by_window
 
 
 def _term_abs(terms: Iterable[tuple], ctx: MPContext) -> list:
@@ -648,14 +631,13 @@ def _float_up(q: Fraction) -> float:
 def _geometric_tail(mags: Sequence) -> float:
     """Ratio-test style bound from the final window of term magnitudes."""
     tail_ratio = 0.0
-    recent = mags[-WINDOW:]
-    for prev, cur in zip(recent, recent[1:]):
+    for prev, cur in zip(mags, mags[1:]):
         if prev == 0:
             continue
         tail_ratio = max(tail_ratio, float(cur / prev))
     if tail_ratio >= 1.0:
         return math.inf
-    last = float(recent[-1]) if recent else 0.0
+    last = float(mags[-1])
     return last * tail_ratio / (1.0 - tail_ratio) if tail_ratio else last
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fallfact import cli
 from fallfact.cli import _int_digits_cap, main, parse_point
 from fallfact.errors import InputFormatError
 from fallfact.exact import lift, magnitude
@@ -524,8 +525,8 @@ def test_seed_examples_writes_loadable_equations(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [["--precision-bits", "52"], ["--eps", "0"],
-                                  ["--eps", "nan"], ["--n-max", "3"]],
-                         ids=["precision-bits-52", "eps-0", "eps-nan", "n-max-3"])
+                                  ["--eps", "nan"], ["--eps", "inf"], ["--n-max", "3"]],
+                         ids=["precision-bits-52", "eps-0", "eps-nan", "eps-inf", "n-max-3"])
 @pytest.mark.parametrize("command", ["eval", "analyze", "analyze-fit",
                                      "riccati-verify", "continue-eval"])
 def test_out_of_range_numeric_flag_is_exit_3_before_any_work(tmp_path, capsys,
@@ -649,6 +650,68 @@ def test_non_finite_counts_and_thresholds_exit_3_without_a_traceback(tmp_path, o
         proc = _fresh_python(tmp_path, "-m", "fallfact.cli", *argv)
         assert (proc.returncode, proc.stdout) == (3, ""), argv
         assert proc.stderr.startswith("fallfact: ") and "Traceback" not in proc.stderr, argv
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "-inf"])
+def test_eps_must_be_positive_and_finite(tmp_path, capsys, geometric_eq, eps):
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
+    capsys.readouterr()
+    assert main(["eval", "--series", series, "--at", "40.5", "--eps", eps]) == 3
+    assert capsys.readouterr() == (
+        "", f"fallfact: --eps must be positive and finite, got {float(eps):g}\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rect", "0", "1", "0", "1", "1e6", "1e6"],
+    # one point more than MAX_POINTS, from the three flags together
+    ["--circle", "1", "500000", "--rect", "0", "1", "0", "1", "500000", "1", "--at", "2"],
+], ids=["rect", "all-three"])
+@pytest.mark.parametrize("command", ["eval", "continue-eval"])
+def test_too_many_points_are_exit_3(tmp_path, capsys, geometric_eq, command, flags):
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
+    head = {"eval": ["eval", "--series", series],
+            "continue-eval": ["continue-eval", "--equation", geometric_eq,
+                              "--series", series]}[command]
+    capsys.readouterr()
+    assert main(head + flags) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fallfact: --at, --rect and --circle give ")
+    assert captured.err.endswith(f"; at most {cli.MAX_POINTS} are allowed\n")
+
+
+def test_point_cap_counts_every_flag(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_POINTS", 7)
+    parse = cli.build_parser().parse_args
+    head = ["eval", "--series", "unused.json", "--at", "1"]
+    assert len(cli._collect_points(parse(head + ["--rect", "0", "1", "0", "1", "2", "2",
+                                                 "--circle", "1", "2"]))) == 7
+    with pytest.raises(InputFormatError, match="give 8 points; at most 7"):
+        cli._collect_points(parse(head + ["--rect", "0", "1", "0", "1", "2", "2",
+                                          "--circle", "1", "3"]))
+
+
+def test_analyze_too_many_samples_is_exit_3_before_any_output(tmp_path, capsys,
+                                                               geometric_eq):
+    series = solve_series(tmp_path, geometric_eq, ["0=1"], n_terms=20)
+    capsys.readouterr()
+    assert main(["analyze", "--series", series, "--fit", "--samples", "500000"]) == 3
+    assert capsys.readouterr() == (
+        "", "fallfact: --samples times --radii give 2000000 points; "
+            "at most 1000000 are allowed\n")
+
+
+def test_too_many_points_exit_3_without_a_traceback(tmp_path, order_half_eq):
+    series = solve_series(tmp_path, order_half_eq, ["0=1", "1=-1/2"], n_terms=40)
+    for argv in (["eval", "--series", series, "--rect", "0", "1", "0", "1", "1e6", "1e6"],
+                 ["eval", "--series", series, "--circle", "3", "1e12"],
+                 ["continue-eval", "--equation", order_half_eq, "--series", series,
+                  "--rect", "0", "1", "0", "1", "1e9", "1e9"],
+                 ["analyze", "--series", series, "--fit", "--samples", "1000000000000"]):
+        proc = _fresh_python(tmp_path, "-m", "fallfact.cli", *argv)
+        assert (proc.returncode, proc.stdout) == (3, ""), argv
+        assert proc.stderr.startswith("fallfact: ") and "Traceback" not in proc.stderr, argv
+        assert proc.stderr.rstrip().endswith("are allowed"), argv
 
 
 def test_precision_environment_variable_changes_nothing(tmp_path, monkeypatch, geometric_eq):

@@ -359,7 +359,7 @@ def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=128
             streak = 0
         ff *= zz - n
     if by_window:
-        converged, reason, tail = True, "window", _geometric_tail(mags)
+        converged, reason, tail = True, "window", _geometric_tail(mags[-5:])
     elif capped:
         converged, reason, tail = False, "n_max", math.inf
     else:
@@ -564,6 +564,38 @@ def test_window_rule_is_exact_at_its_threshold():
         for bits in (53, 128):
             res = evaluate(s, 0.5, eps, precision_bits=bits)
             assert (res.reason, res.terms_used) == want, (eps, bits)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_eps_outside_the_positive_floats_never_stops_by_the_window(eps):
+    # at z = 1/2, eps 1e-12 stops this sum by the window after 36 of 61 terms
+    s = geometric_series(60)
+    stopped = evaluate(s, 0.5, 1e-12)
+    assert (stopped.reason, stopped.terms_used) == ("window", 36)
+    for bits in (53, 128):
+        full = evaluate(s, 0.5, eps, precision_bits=bits)
+        assert (full.reason, full.terms_used, full.converged) == ("exhausted", 61, True)
+        assert full.tail_bound == 0.0
+        assert full.value == evaluate(s, 0.5, 1e-300, precision_bits=bits).value
+        capped = evaluate(s, 0.5, eps, 40, precision_bits=bits)
+        assert (capped.reason, capped.terms_used, capped.converged) == ("n_max", 41, False)
+        want = abs(Fraction(1, 2 ** 40 * math.factorial(40)) * math.prod(
+            Fraction(1, 2) - k for k in range(40)))
+        assert capped.last_term_magnitude == pytest.approx(float(want), rel=1e-15)
+
+
+def test_a_large_term_restarts_the_window():
+    # at z = 1/2 the window may close from n = 6 on; the terms at 6..9 are
+    # zero, so small, and the term at 10 is not, so the run of five closes at
+    # n = 15 and not at n = 11, where a window that skipped the large term
+    # would close
+    s = exact_series([1] + [0] * 9 + [1] + [0] * 10)
+    res = evaluate(s, 0.5, 1e-12)
+    assert (res.reason, res.terms_used, res.converged) == ("window", 16, True)
+    assert (res.last_term_magnitude, res.tail_bound) == (0.0, 0.0)
+    # four small terms are one short of a window
+    assert evaluate(exact_series([1] + [0] * 9 + [1]), 0.5, 1e-12).reason == "exhausted"
 
 
 def test_threads_share_the_cast_memo_safely():
