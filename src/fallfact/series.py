@@ -34,8 +34,9 @@ callers must not change that context's prec.  mpmath is imported inside
 the functions that need it, so code that evaluates nothing never loads it.
 What repeated calls share lives on the series: a private memo of values
 derived from the coefficients alone, chiefly the exact image, the
-coefficients' fixed-point mantissas (one prefix per precision) and their
-integer numerators for exact sums at integer points, and classify's growth
+coefficients' fixed-point mantissas (one prefix per precision), their
+integer numerators for exact sums at integer points, the suffix maxima of
+their ratios that certify a negligible remainder, and classify's growth
 verdict.  Those are immutable values, so evaluation stays re-entrant; each
 coefficient is cast at most once per precision.
 """
@@ -114,8 +115,8 @@ class BinomialSeries(_Value):
         object.__setattr__(self, "regime", regime)
         object.__setattr__(self, "origin", origin)
         # values derived from the coefficients alone, by key: "exact", cast
-        # prefixes by precision, "numerators", "classify"; outside ==, hash
-        # and repr, and a copy starts without them
+        # prefixes by precision, "numerators", "ratios", "classify"; outside
+        # ==, hash and repr, and a copy starts without them
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -376,12 +377,18 @@ class EvaluationResult(NamedTuple):
     value: object
     terms_used: int
     last_term_magnitude: float
+    # "negligible": a certified bound on the stored terms not summed;
+    # "window": a ratio estimate from the final window; "exhausted" and
+    # "integer": 0.0; "n_max": inf.  Nothing here bounds the terms of the
+    # infinite series beyond the stored a_N
     tail_bound: float
     converged: bool
-    reason: str  # "window" | "integer" | "exhausted" | "n_max"
+    # "window" | "negligible" | "integer" | "exhausted" | "n_max" | "precision"
+    reason: str
     # |value - sum_{n < terms_used} a_n z^(n_)| <= rounding_radius for the
-    # stored exact a_n and z as cast to the precision; the neglected tail
-    # sum_{n >= terms_used} is not covered (see tail_bound)
+    # stored exact a_n and z as cast to the precision ("negligible": the
+    # sum of every stored term); any other neglected tail is not covered
+    # (see tail_bound)
     rounding_radius: float
 
     def __complex__(self) -> complex:
@@ -426,14 +433,22 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
         whatever its type: 8, 8.0, mpf(8) and ExactScalar(8) alike.  Terms
         beyond n = m vanish identically, so the sum terminates at min(m, N);
         it is summed exactly, cast once and converged unconditionally.
+      * negligible remainder: after a term n short of the last one the sum
+        may reach, a certified bound on sum_{m > n} |a_m z^(m_)| over the
+        stored a_m is at most one unit of the fixed-point partial sum, so no
+        term left can change the sum beyond its rounding (see
+        _fixed_point_sum).
       * window rule: |term| < eps * max(1, |partial|), tested exactly, for
         WINDOW consecutive terms, allowed only once n >= ceil(|z|) + 5
-        (|z^(n_)| can grow before coefficient decay takes over).  eps <= 0,
-        NaN and inf never stop a sum.
+        (|z^(n_)| can grow before coefficient decay takes over).
       * exhaustion: all stored coefficients consumed; the value is then the
         exact finite sum of the stored object and is reported converged.
       * n_max reached first: returned with converged=False.  The cap holds
         at integer points too, for every series.
+    eps <= 0, NaN and inf stop no sum early.  For positive finite eps, a
+    result the rules call converged whose rounding_radius exceeds
+    eps * max(1, |value|) is reported not converged, with reason
+    "precision": the precision cannot defend its digits.
 
     Other points, and integer ones past the cap, are cast to precision_bits
     and summed in fixed point by _fixed_point_sum; the cast coefficients are kept on the series.  The
@@ -455,15 +470,15 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
             value = to_mpc(total, ctx)
             stop = min(m, top_index)
             err = total - lift(value)
-            return EvaluationResult(value, max(stop + 1, 0),
-                                    _exact_term_magnitude(series, m, stop), 0.0, True,
-                                    "integer", _float_up(abs(err.re) + abs(err.im)))
+            return _defended(EvaluationResult(
+                value, max(stop + 1, 0), _exact_term_magnitude(series, m, stop), 0.0, True,
+                "integer", _float_up(abs(err.re) + abs(err.im))), eps)
 
     capped = n_max < top_index
     limit = n_max if capped else top_index
     min_index = int(ctx.ceil(abs(zz))) + 5
 
-    re, im, exp, units, terms, terms_used, by_window = _fixed_point_sum(
+    re, im, exp, units, terms, terms_used, reason, remainder = _fixed_point_sum(
         series, ctx, point, limit, min_index, eps)
     from mpmath.libmp import from_man_exp
     value = ctx.make_mpc((from_man_exp(re, exp, precision_bits, "n"),
@@ -473,18 +488,111 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     err = ExactScalar(re * scale, im * scale) - lift(value)
     radius = _float_up(units * scale + abs(err.re) + abs(err.im))
 
-    # |term| of the final window for the tail bound, else of the last term alone
-    mags = _term_abs(terms, ctx)
-    if by_window:
-        converged, reason = True, "window"
-        tail = _geometric_tail(mags)
+    # |term| of the final window for the tail estimate, else of the last term alone
+    mags, e0 = _magnitudes(terms)
+    if reason == "window":
+        converged, tail = True, _scaled(_geometric_tail(mags), e0)
+    elif reason == "negligible":
+        converged, tail = True, remainder
     elif capped:
         # the cap cut the sum short of its natural end, integer point or not
         converged, reason, tail = False, "n_max", math.inf
     else:
         converged, reason, tail = True, "exhausted", 0.0  # the stored object's full sum
-    last = float(mags[-1]) if mags else 0.0
-    return EvaluationResult(value, terms_used, last, tail, converged, reason, radius)
+    last = _scaled(mags[-1], e0) if mags else 0.0
+    return _defended(EvaluationResult(value, terms_used, last, tail, converged, reason, radius),
+                     eps)
+
+
+def _defended(result: EvaluationResult, eps) -> EvaluationResult:
+    """result, not converged for reason "precision" when, for positive finite
+    eps, its rounding_radius exceeds eps * max(1, |value|)."""
+    if result.converged and 0 < eps < math.inf and \
+            result.rounding_radius > eps * max(1.0, abs(complex(result.value))):
+        return result._replace(converged=False, reason="precision")
+    return result
+
+
+# a float sum, product or quotient, rounded to nearest and then multiplied by
+# _UP (rounded again), is at least its exact value: each rounding loses less
+# than 2^-53 relative
+_UP = 1 + 2.0 ** -48
+_SQRT2_UP = 1.41421356237311  # >= sqrt(2) _UP
+
+
+def _ratio_maxima(coeffs: Sequence) -> tuple[list, list]:
+    """Suffix maxima of the coefficient ratios, as floats rounded up.
+
+    S[n] >= |a_(m+1)/a_m| and U[n] >= m |a_(m+1)/a_m| for every n <= m < N,
+    and S[N] = U[N] = 0.  A zero a_(m+1) gives the ratio 0; a zero a_m
+    before a nonzero a_(m+1) gives inf, so nothing is certified across it.
+    Each |a_m| is bracketed from the top bits of its parts' own numerators
+    and denominators, so no big integer is multiplied.
+    """
+    brackets = [_abs_bracket(a) for a in coeffs]
+    s = [0.0] * len(brackets)
+    u = [0.0] * len(brackets)
+    s_max = u_max = 0.0
+    for m in range(len(brackets) - 2, -1, -1):
+        cur, nxt = brackets[m], brackets[m + 1]
+        if nxt is None:
+            r = 0.0
+        elif cur is None:
+            r = math.inf
+        else:
+            # the mantissa quotient lies within 2^+-110, so 2^+-900 keeps it
+            # normal; a larger exponent gap only makes r larger
+            gap = nxt[2] - cur[2]
+            r = math.inf if gap > 900 else \
+                math.ldexp(nxt[1] / cur[0] * _UP, gap if gap > -900 else -900)
+        if r > s_max:
+            s_max = r
+        if m * r * _UP > u_max:  # 0 inf is NaN, which compares false
+            u_max = m * r * _UP
+        s[m], u[m] = s_max, u_max
+    return s, u
+
+
+def _abs_bracket(a: ExactScalar):
+    """(lo, hi, e) with lo 2^e <= |a| <= hi 2^e, lo and hi floats; None for 0.
+
+    A Gaussian a lies between its larger part and sqrt(2) times it.
+    """
+    re, im = a.re, a.im
+    re_num, im_num = re.numerator, im.numerator
+    if not im_num:
+        return _bracket(re_num, re.denominator) if re_num else None
+    if not re_num:
+        return _bracket(im_num, im.denominator)
+    parts = _bracket(re_num, re.denominator), _bracket(im_num, im.denominator)
+    e = max(parts[0][2], parts[1][2])
+    # a part ldexp flushes towards 0 lies below 2^-900 times the other, so
+    # neither maximum changes
+    lo = max(math.ldexp(lo, pe - e) for lo, _, pe in parts)
+    hi = max(math.ldexp(hi, pe - e) for _, hi, pe in parts) * _SQRT2_UP
+    return lo, hi, e
+
+
+def _bracket(num: int, den: int) -> tuple:
+    """(lo, hi, e) with lo 2^e <= |num/den| <= hi 2^e, for num != 0, den > 0.
+
+    Each integer is cut to its top 53 bits, which lie within 1 of it
+    shifted, so lo and hi lie in 2^+-54.
+    """
+    sn, sd = num.bit_length() - 53, den.bit_length() - 53
+    if sn > 0:
+        hi_n = abs(num >> sn) + 1  # the floor or the ceiling of |num| 2^-sn, plus 1
+        lo_n = hi_n - 2
+    else:
+        lo_n = hi_n = abs(num)
+        sn = 0
+    if sd > 0:
+        lo_d = den >> sd
+        hi_d = lo_d + 1
+    else:
+        lo_d = hi_d = den
+        sd = 0
+    return lo_n / hi_d / _UP, hi_n / lo_d * _UP, sn - sd
 
 
 def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit: int,
@@ -495,18 +603,35 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     carried at width = precision + GUARD bits, floored after each product;
     a term is the exact product of that and the cast coefficient; the
     partial sum's exponent rises with the largest term, keeping width bits
-    of it, and each term is floored into it.  The window rule stops the
-    sum early; the overflow test rounds the term to the precision first.
+    of it, and each term is floored into it.  The overflow test rounds the
+    term to the precision first.  Two rules may stop the sum before limit,
+    for positive finite eps only:
+      * negligible remainder, tested after each term n < limit.  For
+        m >= n, |t_(m+1)| = |a_(m+1)/a_m| |z - m| |t_m| <= rho |t_m| with
+        rho = S[n] |z| + U[n] from the series' memo of ratio suffix maxima
+        (_ratio_maxima; |z - m| <= |z| + m), so once rho < 1 every stored
+        term after n adds up to at most |t_n| rho/(1 - rho).  When that is
+        at most one unit 2^exp of the partial sum, the sum stops and the
+        unit joins the rounding bound, which then covers all N + 1 stored
+        terms.  Every float in the test is rounded up (_UP), and
+        |t_n| < 2^(top + 1/2) (1 + 2^(2-prec)) (1 + rho_ff) for the
+        carried term's top bit top, so 2^(top + 1) bounds the exact term
+        while the rescales k stay below 2^(width - 10).  O(1) float work
+        per term; the memo is built once per series.
+      * the window rule (see evaluate), by one exact integer comparison.
 
-    Returns (re, im, exp, units, terms, terms_used, by_window): the partial
-    sum is (re + im i) 2^exp, and units 2^exp bounds its distance from the
-    exact sum of the terms used (stored a_n, z as point holds it) before the
-    final cast.  The bound adds, with k the rescales of z^(n_) and u = 2^-width:
+    Returns (re, im, exp, units, terms, terms_used, reason, remainder): the
+    partial sum is (re + im i) 2^exp, and units 2^exp bounds its distance
+    from the exact sum of the terms used (stored a_n, z as point holds it)
+    before the final cast, or, when reason is "negligible", from the exact
+    sum of every stored term, whose neglected part remainder bounds.  reason
+    is None when the sum ran to limit.  The bound adds, with k the rescales
+    of z^(n_) and u = 2^-width:
       * |a_n - cast a_n| <= 4 2^-prec |cast a_n| for a rounded cast (mpmath
         rounds numerator, denominator and quotient to nearest), else 0;
-      * |z^(n_) - carried z^(n_)| <= rho |carried z^(n_)|, with each floor
-        losing at most sqrt(2) 2^(1-width) relative, so
-        rho <= (1 + 4u)^k - 1 <= 8uk while 4uk <= 1/2;
+      * |z^(n_) - carried z^(n_)| <= rho_ff |carried z^(n_)|, with each
+        floor losing at most sqrt(2) 2^(1-width) relative, so
+        rho_ff <= (1 + 4u)^k - 1 <= 8uk while 4uk <= 1/2;
       * less than sqrt(2) units for each floor of a term or of the sum,
         counted at the final exponent, which only rises.
     terms holds, as exact (re, im, exp), the final window (the run of WINDOW
@@ -516,9 +641,17 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     width = prec + GUARD
     zr, zi, ez = point
     unit = 1 << -ez
-    # eps^2 = e_sq 4^e_exp; 0 for eps <= 0, NaN and inf, which make no term small
+    # eps^2 = e_sq 4^e_exp; 0 for eps <= 0, NaN and inf, which stop no sum
     sign, man, e_exp, _ = ctx.mpf(eps)._mpf_
     e_sq = 0 if sign else man * man
+    if e_sq:
+        ratio_max, ratio_m = series._memoized(
+            "ratios", lambda: _ratio_maxima(series._exact_coeffs))
+        # |z| rounded up: inf above the float range, 2^-1000 times the top
+        # bits' modulus (at least 1) below it
+        s = max((abs(zr) | abs(zi)).bit_length() - 53, 0)
+        z_abs = _scaled(math.hypot((abs(zr) >> s) + (s > 0), (abs(zi) >> s) + (s > 0)) * _UP,
+                        max(ez + s, -1000))
     overflow_top = _OVERFLOW_TOP
     fr, fi, ef = 1, 0, 0  # carried z^(n_) = (fr + fi i) 2^ef
     dr = zr               # re(z - n) at exponent ez
@@ -528,6 +661,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     rescales = floors = 0
     casts = ()
     run = []  # the current run of small terms, as exact (re, im, exp)
+    reason, remainder = None, 0.0
     for n in range(limit + 1):
         if n:
             # z^(n_) = z^((n-1)_) (z - n + 1) exactly, then floored to width bits
@@ -555,7 +689,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
         if b:
             top = b + et  # |term| in [2^(top-1), 2^(top+1/2))
             if top + 2 > overflow_top and \
-                    _term_abs([(tr, ti, et)], ctx)[0] > ctx.mpf(10) ** OVERFLOW_EXPONENT:
+                    _term_abs(tr, ti, et, ctx) > ctx.mpf(10) ** OVERFLOW_EXPONENT:
                 raise EvaluationOverflowError(n)
             if es is None:
                 es = top - width
@@ -580,6 +714,14 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
             total += bound
             if rounded:
                 rounded_total += bound
+        if e_sq and n < limit and es is not None:
+            rho = (ratio_max[n] * z_abs + ratio_m[n]) * _UP
+            if rho < 1:
+                q = rho / (1 - rho) * _UP
+                # the remainder is at most 2^(top + 1) q: 0 after a zero term
+                if not b or es - top - 1 > 1000 or q <= math.ldexp(1.0, es - top - 1):
+                    reason, remainder = "negligible", _scaled(q, top + 1) if b else 0.0
+                    break
         if n >= min_index:
             # |t|^2 < eps^2 max(1, |p|^2) as t_sq 2^gap < rhs, both integers:
             # the side at the higher exponent is shifted down to the other's,
@@ -593,28 +735,50 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
             if (t_sq < -(-rhs >> gap)) if gap >= 0 else (t_sq >> -gap < rhs):
                 run.append((tr, ti, et))
                 if len(run) == WINDOW:
+                    reason = "window"
                     break
             else:
                 run = []
-    by_window = len(run) == WINDOW
-    if not by_window:
+    if reason != "window":
         run = [(tr, ti, et)] if limit >= 0 else []
-    # 4 2^-prec (1 + rho) rounded_total + rho total with rho <= rescales 2^-d,
-    # rounded up; 4uk <= 1/2 holds, as 2^(width - 3) terms are never stored
+    # 4 2^-prec (1 + rho_ff) rounded_total + rho_ff total with rho_ff <=
+    # rescales 2^-d, rounded up; 4uk <= 1/2 holds, as 2^(width - 3) terms
+    # are never stored; a negligible remainder adds one unit
     d = width - 3
     bound = rounded_total * ((1 << d) + rescales) * 4 + (total * rescales << prec)
-    units = -(-bound >> (d + prec)) + 2 * floors
-    terms_used = n + 1 if by_window else max(limit + 1, 0)
-    return pr, pi, es or 0, units, run, terms_used, by_window
+    units = -(-bound >> (d + prec)) + 2 * floors + (reason == "negligible")
+    terms_used = n + 1 if reason else max(limit + 1, 0)
+    return pr, pi, es or 0, units, run, terms_used, reason, remainder
 
 
-def _term_abs(terms: Iterable[tuple], ctx: MPContext) -> list:
-    """|term| as a ctx.mpf for each term (re, im, exp), rounded to ctx's precision."""
+def _term_abs(tr: int, ti: int, et: int, ctx: MPContext):
+    """|(tr + ti i) 2^et| as a ctx.mpf, rounded to ctx's precision."""
     from mpmath.libmp import from_man_exp, mpc_abs
     prec = ctx.prec
-    return [ctx.make_mpf(mpc_abs((from_man_exp(tr, et, prec, "n"),
-                                  from_man_exp(ti, et, prec, "n")), prec, "n"))
-            for tr, ti, et in terms]
+    return ctx.make_mpf(mpc_abs((from_man_exp(tr, et, prec, "n"),
+                                 from_man_exp(ti, et, prec, "n")), prec, "n"))
+
+
+def _magnitudes(terms: Sequence[tuple]) -> tuple[list, int]:
+    """|term| for each exact (re, im, exp) as m_k 2^e0, floats m_k: ([m_k], e0).
+
+    Each |term| is read from its top 60 bits; scaling to the largest
+    nonzero term's exponent keeps their ratios in the float range.
+    """
+    tops = []
+    for tr, ti, et in terms:
+        s = max((abs(tr) | abs(ti)).bit_length() - 60, 0)
+        tops.append((math.hypot(tr >> s, ti >> s), et + s))
+    e0 = max((e for m, e in tops if m), default=0)
+    return [math.ldexp(m, e - e0) for m, e in tops], e0
+
+
+def _scaled(x: float, e: int) -> float:
+    """x 2^e; inf above the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def _float_up(q: Fraction) -> float:
@@ -629,7 +793,7 @@ def _float_up(q: Fraction) -> float:
 
 
 def _geometric_tail(mags: Sequence) -> float:
-    """Ratio-test style bound from the final window of term magnitudes."""
+    """Ratio-test style estimate from the final window of term magnitudes."""
     tail_ratio = 0.0
     for prev, cur in zip(mags, mags[1:]):
         if prev == 0:

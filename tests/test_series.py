@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from fallfact.basis import StirlingTable, default_table
 from fallfact.errors import EvaluationOverflowError
@@ -436,7 +438,7 @@ def test_evaluate_encloses_the_exact_sum():
     points += [7 + 0j, 7.0, 12, 2.25]
     settings = [dict(eps=eps) for eps in (1e-12, 1e-30)]
     settings.append(dict(eps=1e-12, n_max=40))
-    compared = near = 0
+    compared = near = certified = 0
     inexact = [False] * 3  # some value differs from its exact sum
     for k, s in enumerate(_identity_series()):
         for z in points:
@@ -451,7 +453,15 @@ def test_evaluate_encloses_the_exact_sum():
                     margins = []
                     want = _reference_evaluate(s, z, precision_bits=bits, margins=margins,
                                                **kw)
-                    if min(margins, default=1) < WINDOW_MARGIN:
+                    if res.reason == "negligible":
+                        # the radius covers every stored term, and the
+                        # certificate stops no later than the old loop
+                        full = lift(res.value) - sums(len(s.coeffs))
+                        assert full.abs_squared() <= Fraction(res.rounding_radius) ** 2, \
+                            (s.origin, bits, z, kw, res)
+                        assert want[1] >= res.terms_used, (s.origin, bits, z, kw)
+                        certified += 1
+                    elif min(margins, default=1) < WINDOW_MARGIN:
                         near += 1
                     else:
                         got = (res.terms_used, res.converged, res.reason)
@@ -459,6 +469,7 @@ def test_evaluate_encloses_the_exact_sum():
                     compared += 1
     assert compared == 3 * 2 * len(points) * len(settings)
     assert near <= compared // 20
+    assert certified >= compared // 20
     # newton_series of floats stores binary64 values, which cast exactly: the
     # radius there holds nothing but the counted roundings, and they show
     assert inexact[2]
@@ -544,7 +555,7 @@ def test_evaluate_casts_each_coefficient_once_per_precision(monkeypatch):
     assert res.reason == "window" and len(casts) < len(fresh.coeffs)
 
     evaluate_exact(s, 40)
-    assert set(s._memo) == {128, 256, "numerators"}
+    assert set(s._memo) == {128, 256, "numerators", "ratios"}
     assert s == fresh and fresh == s
     assert hash(s) == hash(fresh)
     assert repr(s) == repr(fresh)
@@ -589,13 +600,76 @@ def test_a_large_term_restarts_the_window():
     # at z = 1/2 the window may close from n = 6 on; the terms at 6..9 are
     # zero, so small, and the term at 10 is not, so the run of five closes at
     # n = 15 and not at n = 11, where a window that skipped the large term
-    # would close
-    s = exact_series([1] + [0] * 9 + [1] + [0] * 10)
+    # would close.  The tail 10^-30 is small for eps but not below one unit
+    # of the sum, and its ratios (|z - m| >= 1) certify no remainder
+    c = Fraction(1, 10 ** 30)
+    s = exact_series([1] + [0] * 9 + [1] + [c] * 10)
     res = evaluate(s, 0.5, 1e-12)
     assert (res.reason, res.terms_used, res.converged) == ("window", 16, True)
-    assert (res.last_term_magnitude, res.tail_bound) == (0.0, 0.0)
+    want = c * math.prod(Fraction(1, 2) - k for k in range(15))
+    assert res.last_term_magnitude == pytest.approx(float(abs(want)), rel=1e-15)
+    assert res.tail_bound == math.inf  # the window's terms still grow
     # four small terms are one short of a window
-    assert evaluate(exact_series([1] + [0] * 9 + [1]), 0.5, 1e-12).reason == "exhausted"
+    assert evaluate(exact_series([1] + [0] * 9 + [1] + [c] * 4), 0.5, 1e-12).reason == \
+        "exhausted"
+    # a tail of zeros is certified zero after the last nonzero term
+    zeros = evaluate(exact_series([1] + [0] * 9 + [1] + [0] * 10), 0.5, 1e-12)
+    assert (zeros.reason, zeros.terms_used, zeros.tail_bound) == ("negligible", 11, 0.0)
+
+
+_coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)))
+
+
+@st.composite
+def _decaying_series(draw):
+    """Small exact series (real or Gaussian) with interior and trailing zeros,
+    scaled by c^n/n!^k so that some sums end long before their last term;
+    a plain one is c^n/n!^k times one constant."""
+    n_terms = draw(st.integers(1, 40))
+    gaussian, plain = draw(st.booleans()), draw(st.booleans())
+    c = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(1), Fraction(3)]))
+    k = draw(st.sampled_from([1, 2]))
+    coeffs = []
+    for n in range(n_terms):
+        if not n or not plain:
+            re = draw(_coefficients)
+            im = draw(_coefficients) if gaussian else Fraction(0)
+        coeffs.append(ExactScalar(re, im) * (c ** n / math.factorial(n) ** k))
+    coeffs += [ExactScalar(0)] * draw(st.integers(0, 6))
+    return exact_series(coeffs)
+
+
+# real or complex, |z| from about 2^-6 to 30; scaling by a power of two keeps
+# every point a binary float, which casts exactly
+_points = st.builds(lambda x, y, scale: complex(x * scale, y * scale),
+                    st.floats(-2, 2), st.floats(-2, 2), st.sampled_from([2 ** -6, 1, 15])) | \
+    st.floats(-30, 30)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_decaying_series(), _points, st.sampled_from([53, 64, 128, 200]),
+       st.sampled_from([1e-6, 1e-12, 1e-30]))
+# near z = 0, |z - m| is about m: a bound on |a_(m+1)/a_m| |z| alone would
+# stop after the tiny term a_1 z and drop a_2 z (z - 1), which is as large
+@example(exact_series([0, 1, 1]), 2.0 ** -100, 53, 1e-12)
+def test_a_negligible_remainder_is_certified(s, z, bits, eps):
+    # a "negligible" stop's radius covers the exact sum of every stored term
+    # (z as given, which casts exactly), and it comes no later than the old
+    # loop's stop, unless that loop's window decision was too close to call
+    from fallfact.exact import lift
+    res = evaluate(s, z, eps, precision_bits=bits)
+    event(res.reason)
+    if res.reason != "negligible":
+        return
+    full = _exact_partial_sums(s, z)(len(s.coeffs))
+    assert (lift(res.value) - full).abs_squared() <= Fraction(res.rounding_radius) ** 2
+    assert res.converged and 0 <= res.tail_bound < math.inf
+    margins = []
+    old = _reference_evaluate(s, z, eps, precision_bits=bits, margins=margins)
+    if min(margins, default=1) >= WINDOW_MARGIN:
+        assert old[1] >= res.terms_used
 
 
 def test_threads_share_the_cast_memo_safely():
