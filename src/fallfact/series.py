@@ -36,8 +36,8 @@ What repeated calls share lives on the series: a private memo of values
 derived from the coefficients alone, chiefly the exact image, the
 coefficients' fixed-point mantissas (one prefix per precision), their
 integer numerators for exact sums at integer points, the suffix maxima of
-their ratios that certify a negligible remainder, and classify's growth
-verdict.  Those are immutable values, so evaluation stays re-entrant; each
+their ratios that certify the stored terms left unsummed, and classify's
+growth verdict.  Those are immutable values, so evaluation stays re-entrant; each
 coefficient is cast at most once per precision.
 """
 
@@ -376,11 +376,11 @@ class EvaluationResult(NamedTuple):
     # it freely, but never change that context's prec
     value: object
     terms_used: int
-    last_term_magnitude: float
-    # "negligible": a certified bound on the stored terms not summed;
-    # "window": a ratio estimate from the final window; "exhausted" and
-    # "integer": 0.0; "n_max": inf.  Nothing here bounds the terms of the
-    # infinite series beyond the stored a_N
+    # a certified bound on sum_{terms_used <= m <= N} |a_m z^(m_)|, the
+    # stored terms not summed: 0.0 when none is left, inf where the ratio
+    # suffix maxima certify nothing or were not read (eps not positive and
+    # finite).  Nothing here bounds the terms of the infinite series beyond
+    # the stored a_N
     tail_bound: float
     converged: bool
     # "window" | "negligible" | "integer" | "exhausted" | "n_max" | "precision"
@@ -451,8 +451,10 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     "precision": the precision cannot defend its digits.
 
     Other points, and integer ones past the cap, are cast to precision_bits
-    and summed in fixed point by _fixed_point_sum; the cast coefficients are kept on the series.  The
-    value is an mpc of the context shared at that precision.
+    and summed in fixed point by _fixed_point_sum, which also bounds the
+    stored terms left unsummed (tail_bound); the cast coefficients are kept
+    on the series.  The value is an mpc of the context shared at that
+    precision.
     """
     ctx = _context(precision_bits)
     zz = to_mpc(z, ctx)
@@ -471,14 +473,14 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
             stop = min(m, top_index)
             err = total - lift(value)
             return _defended(EvaluationResult(
-                value, max(stop + 1, 0), _exact_term_magnitude(series, m, stop), 0.0, True,
-                "integer", _float_up(abs(err.re) + abs(err.im))), eps)
+                value, max(stop + 1, 0), 0.0, True, "integer",
+                _float_up(abs(err.re) + abs(err.im))), eps)
 
     capped = n_max < top_index
     limit = n_max if capped else top_index
     min_index = int(ctx.ceil(abs(zz))) + 5
 
-    re, im, exp, units, terms, terms_used, reason, remainder = _fixed_point_sum(
+    re, im, exp, units, terms_used, reason, tail = _fixed_point_sum(
         series, ctx, point, limit, min_index, eps)
     from mpmath.libmp import from_man_exp
     value = ctx.make_mpc((from_man_exp(re, exp, precision_bits, "n"),
@@ -488,20 +490,14 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     err = ExactScalar(re * scale, im * scale) - lift(value)
     radius = _float_up(units * scale + abs(err.re) + abs(err.im))
 
-    # |term| of the final window for the tail estimate, else of the last term alone
-    mags, e0 = _magnitudes(terms)
-    if reason == "window":
-        converged, tail = True, _scaled(_geometric_tail(mags), e0)
-    elif reason == "negligible":
-        converged, tail = True, remainder
+    if reason:  # "window" or "negligible"
+        converged = True
     elif capped:
         # the cap cut the sum short of its natural end, integer point or not
-        converged, reason, tail = False, "n_max", math.inf
+        converged, reason = False, "n_max"
     else:
-        converged, reason, tail = True, "exhausted", 0.0  # the stored object's full sum
-    last = _scaled(mags[-1], e0) if mags else 0.0
-    return _defended(EvaluationResult(value, terms_used, last, tail, converged, reason, radius),
-                     eps)
+        converged, reason = True, "exhausted"  # the stored object's full sum
+    return _defended(EvaluationResult(value, terms_used, tail, converged, reason, radius), eps)
 
 
 def _defended(result: EvaluationResult, eps) -> EvaluationResult:
@@ -620,13 +616,18 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
         per term; the memo is built once per series.
       * the window rule (see evaluate), by one exact integer comparison.
 
-    Returns (re, im, exp, units, terms, terms_used, reason, remainder): the
-    partial sum is (re + im i) 2^exp, and units 2^exp bounds its distance
-    from the exact sum of the terms used (stored a_n, z as point holds it)
-    before the final cast, or, when reason is "negligible", from the exact
-    sum of every stored term, whose neglected part remainder bounds.  reason
-    is None when the sum ran to limit.  The bound adds, with k the rescales
-    of z^(n_) and u = 2^-width:
+    Returns (re, im, exp, units, terms_used, reason, remainder): the partial
+    sum is (re + im i) 2^exp, and units 2^exp bounds its distance from the
+    exact sum of the terms used (stored a_n, z as point holds it) before the
+    final cast, or, when reason is "negligible", from the exact sum of every
+    stored term.  reason is None when the sum ran to limit.  remainder
+    bounds sum |t_m| over the stored terms after the last one summed, n,
+    whatever ended the sum: 2^(top + 1) rho/(1 - rho) with rho at n, as in
+    the negligible rule, computed once after the loop; 0 when rho < 1
+    follows a zero term, and at the natural end n = N (S[N] = U[N] = 0);
+    inf when rho >= 1, or when terms are left and eps left the ratios
+    unread.  The units bound adds, with k the rescales of z^(n_) and
+    u = 2^-width:
       * |a_n - cast a_n| <= 4 2^-prec |cast a_n| for a rounded cast (mpmath
         rounds numerator, denominator and quotient to nearest), else 0;
       * |z^(n_) - carried z^(n_)| <= rho_ff |carried z^(n_)|, with each
@@ -634,8 +635,6 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
         rho_ff <= (1 + 4u)^k - 1 <= 8uk while 4uk <= 1/2;
       * less than sqrt(2) units for each floor of a term or of the sum,
         counted at the final exponent, which only rises.
-    terms holds, as exact (re, im, exp), the final window (the run of WINDOW
-    small terms) when the window rule fired, else the last term alone.
     """
     prec = ctx.prec
     width = prec + GUARD
@@ -660,8 +659,8 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     total = rounded_total = 0  # bounds of sum |term| in units of 2^es: all, rounded casts
     rescales = floors = 0
     casts = ()
-    run = []  # the current run of small terms, as exact (re, im, exp)
-    reason, remainder = None, 0.0
+    run = 0  # the length of the current run of small terms
+    reason = None
     for n in range(limit + 1):
         if n:
             # z^(n_) = z^((n-1)_) (z - n + 1) exactly, then floored to width bits
@@ -720,7 +719,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
                 q = rho / (1 - rho) * _UP
                 # the remainder is at most 2^(top + 1) q: 0 after a zero term
                 if not b or es - top - 1 > 1000 or q <= math.ldexp(1.0, es - top - 1):
-                    reason, remainder = "negligible", _scaled(q, top + 1) if b else 0.0
+                    reason = "negligible"
                     break
         if n >= min_index:
             # |t|^2 < eps^2 max(1, |p|^2) as t_sq 2^gap < rhs, both integers:
@@ -733,14 +732,12 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
             else:
                 rhs, gap = e_sq, 2 * (et - e_exp)
             if (t_sq < -(-rhs >> gap)) if gap >= 0 else (t_sq >> -gap < rhs):
-                run.append((tr, ti, et))
-                if len(run) == WINDOW:
+                run += 1
+                if run == WINDOW:
                     reason = "window"
                     break
             else:
-                run = []
-    if reason != "window":
-        run = [(tr, ti, et)] if limit >= 0 else []
+                run = 0
     # 4 2^-prec (1 + rho_ff) rounded_total + rho_ff total with rho_ff <=
     # rescales 2^-d, rounded up; 4uk <= 1/2 holds, as 2^(width - 3) terms
     # are never stored; a negligible remainder adds one unit
@@ -748,7 +745,12 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     bound = rounded_total * ((1 << d) + rescales) * 4 + (total * rescales << prec)
     units = -(-bound >> (d + prec)) + 2 * floors + (reason == "negligible")
     terms_used = n + 1 if reason else max(limit + 1, 0)
-    return pr, pi, es or 0, units, run, terms_used, reason, remainder
+    remainder = 0.0 if terms_used == len(series.coeffs) else math.inf
+    if remainder and e_sq and terms_used:
+        rho = (ratio_max[n] * z_abs + ratio_m[n]) * _UP
+        if rho < 1:
+            remainder = _scaled(rho / (1 - rho) * _UP, top + 1) if b else 0.0
+    return pr, pi, es or 0, units, terms_used, reason, remainder
 
 
 def _term_abs(tr: int, ti: int, et: int, ctx: MPContext):
@@ -757,20 +759,6 @@ def _term_abs(tr: int, ti: int, et: int, ctx: MPContext):
     prec = ctx.prec
     return ctx.make_mpf(mpc_abs((from_man_exp(tr, et, prec, "n"),
                                  from_man_exp(ti, et, prec, "n")), prec, "n"))
-
-
-def _magnitudes(terms: Sequence[tuple]) -> tuple[list, int]:
-    """|term| for each exact (re, im, exp) as m_k 2^e0, floats m_k: ([m_k], e0).
-
-    Each |term| is read from its top 60 bits; scaling to the largest
-    nonzero term's exponent keeps their ratios in the float range.
-    """
-    tops = []
-    for tr, ti, et in terms:
-        s = max((abs(tr) | abs(ti)).bit_length() - 60, 0)
-        tops.append((math.hypot(tr >> s, ti >> s), et + s))
-    e0 = max((e for m, e in tops if m), default=0)
-    return [math.ldexp(m, e - e0) for m, e in tops], e0
 
 
 def _scaled(x: float, e: int) -> float:
@@ -790,25 +778,6 @@ def _float_up(q: Fraction) -> float:
     except OverflowError:
         return math.inf
     return f if Fraction(f) >= q else math.nextafter(f, math.inf)
-
-
-def _geometric_tail(mags: Sequence) -> float:
-    """Ratio-test style estimate from the final window of term magnitudes."""
-    tail_ratio = 0.0
-    for prev, cur in zip(mags, mags[1:]):
-        if prev == 0:
-            continue
-        tail_ratio = max(tail_ratio, float(cur / prev))
-    if tail_ratio >= 1.0:
-        return math.inf
-    last = float(mags[-1])
-    return last * tail_ratio / (1.0 - tail_ratio) if tail_ratio else last
-
-
-def _exact_term_magnitude(series: BinomialSeries, m: int, stop: int) -> float:
-    if stop < 0:
-        return 0.0
-    return magnitude(series._exact_coeffs[stop] * math.perm(m, stop))
 
 
 # ---------------------------------------------------------------------------

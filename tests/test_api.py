@@ -4,6 +4,10 @@ One name a line, so that a name added to or removed from fallfact.__all__
 shows as a one-line diff here; list each such change in CHANGES.md.
 """
 
+import ast
+import re
+from pathlib import Path
+
 import fallfact
 
 PUBLIC = (
@@ -90,3 +94,23 @@ PUBLIC = (
 
 def test_public_names_are_pinned():
     assert tuple(sorted(fallfact.__all__)) == PUBLIC
+
+
+def test_every_private_module_name_is_used():
+    # a module-level _name (def, class or assignment; dunders aside) that
+    # occurs only where it is defined is dead code
+    sources = {path.name: path.read_text() for path in Path(fallfact.__file__).parent.glob("*.py")}
+    text = "\n".join(sources.values())
+    unused = []
+    for name, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}:{d}" for d in defined if d.startswith("_") and not d.endswith("__")
+                       and len(re.findall(rf"\b{re.escape(d)}\b", text)) < 2]
+    assert not unused

@@ -90,3 +90,13 @@ def test_the_radius_row_is_reported_as_precision():
     res = evaluate(series, complex(1e5, 0.5))
     assert (res.converged, res.reason, res.terms_used) == (False, "precision", 301)
     assert res.rounding_radius > 10 * abs(res.value)
+
+
+@pytest.mark.parametrize("z", [2.5, complex(3, 1)], ids=["2.5", "3+1i"])
+def test_the_factorial_window_rows_certify_no_tail(z):
+    # the window still accepts these sums, but for the terms it left out
+    # m |a_(m+1)/a_m| = m/(m+1) nears 1, so the ratio bound certifies no
+    # remainder and tail_bound claims nothing
+    series, _ = _factorial()
+    res = evaluate(series, z, 1e-12)
+    assert (res.reason, res.tail_bound) == ("window", math.inf)

@@ -318,16 +318,14 @@ def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=128
     r = |term| / (eps * max(1, |partial|)) as this loop rounds it.
     """
     from fallfact.exact import lift, to_mpc
-    from fallfact.series import OVERFLOW_EXPONENT, _exact_term_magnitude, _geometric_tail
+    from fallfact.series import OVERFLOW_EXPONENT
     ctx = make_context(precision_bits)
     zz = to_mpc(z, ctx)
     top_index = len(series.coeffs) - 1
     ze = lift(z)
     if ze.is_integer() and ze.re >= 0 and min(ze.re, top_index) <= n_max:
-        m = int(ze.re)
-        stop = min(m, top_index)
-        return (to_mpc(evaluate_exact(series, ze), ctx), max(stop + 1, 0),
-                _exact_term_magnitude(series, m, stop), 0.0, True, "integer")
+        stop = min(int(ze.re), top_index)
+        return to_mpc(evaluate_exact(series, ze), ctx), max(stop + 1, 0), True, "integer"
     limit = top_index
     reason = "exhausted"
     capped = False
@@ -337,12 +335,11 @@ def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=128
     overflow = ctx.mpf(10) ** OVERFLOW_EXPONENT
     min_index = int(ctx.ceil(abs(zz))) + 5
     partial, ff = ctx.mpc(0), ctx.mpc(1)
-    mags, streak, terms_used, mag, by_window = [], 0, 0, ctx.mpf(0), False
+    streak, terms_used, by_window = 0, 0, False
     for n in range(limit + 1):
         term = to_mpc(series.coeffs[n], ctx) * ff
         partial += term
         mag = abs(term)
-        mags.append(mag)
         terms_used = n + 1
         if mag > overflow:
             raise EvaluationOverflowError(n)
@@ -361,18 +358,17 @@ def _reference_evaluate(series, z, eps=1e-12, n_max=10000, *, precision_bits=128
             streak = 0
         ff *= zz - n
     if by_window:
-        converged, reason, tail = True, "window", _geometric_tail(mags[-5:])
+        converged, reason = True, "window"
     elif capped:
-        converged, reason, tail = False, "n_max", math.inf
+        converged, reason = False, "n_max"
     else:
-        converged, tail = True, 0.0
-    last = float(mag) if terms_used else 0.0
-    return partial, terms_used, last, tail, converged, reason
+        converged = True
+    return partial, terms_used, converged, reason
 
 
 def _fields(res):
-    return (res.value, res.terms_used, res.last_term_magnitude, res.tail_bound,
-            res.converged, res.reason, res.rounding_radius)
+    return (res.value, res.terms_used, res.tail_bound, res.converged, res.reason,
+            res.rounding_radius)
 
 
 def _exact_partial_sums(series, z):
@@ -409,7 +405,7 @@ def _outcome(fn, *args, **kwargs):
         return ("overflow", exc.index)
     if hasattr(res, "reason"):
         return res.terms_used, res.converged, res.reason
-    return res[1], res[4], res[5]
+    return res[1:]
 
 
 def _identity_series():
@@ -465,7 +461,7 @@ def test_evaluate_encloses_the_exact_sum():
                         near += 1
                     else:
                         got = (res.terms_used, res.converged, res.reason)
-                        assert got == want[1:2] + want[4:], (s.origin, bits, z, kw)
+                        assert got == want[1:], (s.origin, bits, z, kw)
                     compared += 1
     assert compared == 3 * 2 * len(points) * len(settings)
     assert near <= compared // 20
@@ -591,9 +587,7 @@ def test_eps_outside_the_positive_floats_never_stops_by_the_window(eps):
         assert full.value == evaluate(s, 0.5, 1e-300, precision_bits=bits).value
         capped = evaluate(s, 0.5, eps, 40, precision_bits=bits)
         assert (capped.reason, capped.terms_used, capped.converged) == ("n_max", 41, False)
-        want = abs(Fraction(1, 2 ** 40 * math.factorial(40)) * math.prod(
-            Fraction(1, 2) - k for k in range(40)))
-        assert capped.last_term_magnitude == pytest.approx(float(want), rel=1e-15)
+        assert capped.tail_bound == math.inf  # no ratio was read
 
 
 def test_a_large_term_restarts_the_window():
@@ -606,9 +600,7 @@ def test_a_large_term_restarts_the_window():
     s = exact_series([1] + [0] * 9 + [1] + [c] * 10)
     res = evaluate(s, 0.5, 1e-12)
     assert (res.reason, res.terms_used, res.converged) == ("window", 16, True)
-    want = c * math.prod(Fraction(1, 2) - k for k in range(15))
-    assert res.last_term_magnitude == pytest.approx(float(abs(want)), rel=1e-15)
-    assert res.tail_bound == math.inf  # the window's terms still grow
+    assert res.tail_bound == math.inf  # the ratios certify no remainder
     # four small terms are one short of a window
     assert evaluate(exact_series([1] + [0] * 9 + [1] + [c] * 4), 0.5, 1e-12).reason == \
         "exhausted"
@@ -650,24 +642,39 @@ _points = st.builds(lambda x, y, scale: complex(x * scale, y * scale),
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_decaying_series(), _points, st.sampled_from([53, 64, 128, 200]),
-       st.sampled_from([1e-6, 1e-12, 1e-30]))
+       st.sampled_from([1e-6, 1e-12, 1e-30]), st.sampled_from([10000, 5]))
 # near z = 0, |z - m| is about m: a bound on |a_(m+1)/a_m| |z| alone would
 # stop after the tiny term a_1 z and drop a_2 z (z - 1), which is as large
-@example(exact_series([0, 1, 1]), 2.0 ** -100, 53, 1e-12)
-def test_a_negligible_remainder_is_certified(s, z, bits, eps):
-    # a "negligible" stop's radius covers the exact sum of every stored term
-    # (z as given, which casts exactly), and it comes no later than the old
+@example(exact_series([0, 1, 1]), 2.0 ** -100, 53, 1e-12, 10000)
+# every stored term summed, and an integer point whose later terms vanish
+@example(exact_series([1, 1, 1]), 0.5, 53, 1e-12, 10000)
+@example(exact_series([1, 2, 3, 4]), 2.0, 53, 1e-12, 10000)
+# a cap ahead of the stop, where the ratios 1/(m+1)^2 still certify the rest
+@example(exact_series([Fraction(1, math.factorial(n) ** 2) for n in range(12)]), 0.5, 53,
+         1e-30, 3)
+def test_tail_bound_covers_the_stored_remainder(s, z, bits, eps, n_max):
+    # whatever stopped the sum, a finite tail_bound is at least the exact
+    # sum of the stored terms left out (z as given, which casts exactly),
+    # and 0.0 when none is left.  A "negligible" stop's radius covers the
+    # exact sum of every stored term, and it comes no later than the old
     # loop's stop, unless that loop's window decision was too close to call
     from fallfact.exact import lift
-    res = evaluate(s, z, eps, precision_bits=bits)
+    res = evaluate(s, z, eps, n_max, precision_bits=bits)
     event(res.reason)
+    event("finite tail" if res.tail_bound < math.inf else "infinite tail")
+    sums = _exact_partial_sums(s, z)
+    full = sums(len(s.coeffs))
+    if res.tail_bound < math.inf:
+        rest = full - sums(res.terms_used)
+        assert rest.abs_squared() <= Fraction(res.tail_bound) ** 2, res
+    if res.reason in ("exhausted", "integer"):
+        assert res.tail_bound == 0.0
     if res.reason != "negligible":
         return
-    full = _exact_partial_sums(s, z)(len(s.coeffs))
     assert (lift(res.value) - full).abs_squared() <= Fraction(res.rounding_radius) ** 2
     assert res.converged and 0 <= res.tail_bound < math.inf
     margins = []
-    old = _reference_evaluate(s, z, eps, precision_bits=bits, margins=margins)
+    old = _reference_evaluate(s, z, eps, n_max, precision_bits=bits, margins=margins)
     if min(margins, default=1) >= WINDOW_MARGIN:
         assert old[1] >= res.terms_used
 

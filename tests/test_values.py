@@ -142,8 +142,8 @@ def test_records_are_named_tuples():
     assert pickle.loads(pickle.dumps(inst)) == inst
 
     res = evaluate(exact_series([1, 1]), 2)
-    assert res._fields == ("value", "terms_used", "last_term_magnitude", "tail_bound",
-                           "converged", "reason", "rounding_radius")
+    assert res._fields == ("value", "terms_used", "tail_bound", "converged", "reason",
+                           "rounding_radius")
     assert complex(res) == 3
     assert res._replace(tail_bound=0.0).tail_bound == 0.0
 
