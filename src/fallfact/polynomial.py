@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .exact import ExactScalar, ONE, ZERO, _Value, as_exact, integer_numerators, to_mpc
 
@@ -89,11 +89,20 @@ class Polynomial(_Value):
 
     def eval_numeric(self, z, ctx):
         """Horner evaluation at an mpc point under the given mpmath context."""
-        acc = ctx.mpc(0)
-        zz = to_mpc(z, ctx)
-        for c in reversed(self.coeffs):
-            acc = acc * zz + to_mpc(c, ctx)
-        return acc
+        return self.cast(ctx)(to_mpc(z, ctx))
+
+    def cast(self, ctx) -> Callable:
+        """Horner evaluation at ctx.mpc points, each coefficient cast to ctx
+        once here: cast(ctx)(zz) equals eval_numeric(zz, ctx)."""
+        # the leading coefficient is the first partial value, as 0 zz + c is c
+        lead, *rest = [to_mpc(c, ctx) for c in reversed(self.coeffs)] or [ctx.mpc(0)]
+
+        def at(zz):
+            acc = lead
+            for c in rest:
+                acc = acc * zz + c
+            return acc
+        return at
 
     def shift_argument(self, s: CoeffLike) -> "Polynomial":
         """Return p(X + s), exact Taylor shift via Horner in (X + s)."""

@@ -89,7 +89,7 @@ def riccati_transform(instance: RiccatiInstance, evaluator: Callable, z,
     denominator 2P(z) - c is too small to divide by.
     """
     ctx = _context(precision_bits)
-    return _transform(instance, ctx, lambda w: ctx.mpc(evaluator(w)), to_mpc(z, ctx))
+    return _transformer(instance, ctx)(lambda w: ctx.mpc(evaluator(w)), to_mpc(z, ctx))
 
 
 def _ratio(ctx, y: Callable, zz):
@@ -100,13 +100,18 @@ def _ratio(ctx, y: Callable, zz):
     return (y1 - y0) / y0
 
 
-def _transform(instance: RiccatiInstance, ctx, y: Callable, zz):
-    u = _ratio(ctx, y, zz)
-    p2c = instance.normalizer().eval_numeric(zz, ctx)  # 2P(z) - c
-    if abs(p2c) < _DENOMINATOR_FLOOR:
-        raise PoleError(complex(zz))
+def _transformer(instance: RiccatiInstance, ctx) -> Callable:
+    """(y, zz) -> f(z), with 2P - c and c cast to ctx once."""
+    p2c_at = instance.normalizer().cast(ctx)  # 2P(z) - c
     c_val = to_mpc(instance.c, ctx)
-    return -((p2c + c_val) * u + c_val) / p2c  # 2P = p2c + c
+
+    def transform(y: Callable, zz):
+        u = _ratio(ctx, y, zz)
+        p2c = p2c_at(zz)
+        if abs(p2c) < _DENOMINATOR_FLOOR:
+            raise PoleError(complex(zz))
+        return -((p2c + c_val) * u + c_val) / p2c  # 2P = p2c + c
+    return transform
 
 
 def verify_riccati(instance: RiccatiInstance, evaluator: Callable,
@@ -119,19 +124,21 @@ def verify_riccati(instance: RiccatiInstance, evaluator: Callable,
     than verified.
     """
     ctx = _context(precision_bits)
+    transform = _transformer(instance, ctx)
+    num_at, den_at = instance.coefficient.num.cast(ctx), instance.coefficient.den.cast(ctx)
 
     def residual(zz, y):
-        if abs(instance.coefficient.den.eval_numeric(zz, ctx)) < _DENOMINATOR_FLOOR:
+        den = den_at(zz)
+        if abs(den) < _DENOMINATOR_FLOOR:
             return "near pole of A"
         try:
-            f0 = _transform(instance, ctx, y, zz)
-            f1 = _transform(instance, ctx, y, zz + 1)
+            f0 = transform(y, zz)
+            f1 = transform(y, zz + 1)
         except PoleError:
             return "transform breakdown"
         if abs(1 - f0) < _TRANSFORM_FLOOR:
             return "f too close to 1"
-        a_val = instance.coefficient.eval_numeric(zz, ctx)
-        return float(abs(f1 * (1 - f0) - f0 - a_val))
+        return float(abs(f1 * (1 - f0) - f0 - num_at(zz) / den))
 
     return _report(ctx, points, residual, evaluator, eps)
 
@@ -146,7 +153,7 @@ def g_step_check(instance: RiccatiInstance, evaluator: Callable,
     Residuals are relative to max(1, |lhs|, |rhs|).
     """
     ctx = _context(precision_bits)
-    a_poly = instance.shifted_argument()
+    azb_at = instance.shifted_argument().cast(ctx)
     c_val = to_mpc(instance.c, ctx)
 
     def residual(zz, y):
@@ -155,7 +162,7 @@ def g_step_check(instance: RiccatiInstance, evaluator: Callable,
             g1 = -_ratio(ctx, y, zz + 1)
         except PoleError:
             return "zero of the solution"
-        azb = a_poly.eval_numeric(zz, ctx)
+        azb = azb_at(zz)
         lhs = g1 * azb * (1 - g0)
         rhs = 1 + (azb - c_val) * g0
         scale = max(ctx.mpf(1), abs(lhs), abs(rhs))

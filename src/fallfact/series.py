@@ -454,41 +454,43 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
     and summed in fixed point by _fixed_point_sum, which also bounds the
     stored terms left unsummed (tail_bound); the cast coefficients are kept
     on the series.  The value is an mpc of the context shared at that
-    precision.
+    precision.  The rounding radius and the "precision" verdict are computed
+    in integers, so both hold also where the radius or |value| leaves the
+    float range; the radius then reads inf.
     """
+    from mpmath.libmp import from_man_exp, mpc_abs, mpf_ceil, to_int
     ctx = _context(precision_bits)
-    zz = to_mpc(z, ctx)
-    point = _gaussian(zz._mpc_, 0)
+    point = _point(z, ctx)
     zr, zi, ez = point
     top_index = len(series.coeffs) - 1
+    e_sq, e_exp = _eps_squared(eps, ctx)
 
     # a nonnegative integer casts to one, so only such a cast is lifted
     if not zi and zr >= 0 and not zr & ((1 << -ez) - 1):
         ze = lift(z)
         if ze.is_integer() and ze.re >= 0 and min(ze.re, top_index) <= n_max:
-            # exact finite sum, cast once at the end
-            m = int(ze.re)
+            # exact finite sum (re + im i) / den, cast once at the end
             total = evaluate_exact(series, ze)
             value = to_mpc(total, ctx)
-            stop = min(m, top_index)
-            err = total - lift(value)
+            ((re, im),), den = integer_numerators([total])
+            err, exp = _cast_error(0, re, im, 0, den, value)
+            stop = min(int(ze.re), top_index)
             return _defended(EvaluationResult(
-                value, max(stop + 1, 0), 0.0, True, "integer",
-                _float_up(abs(err.re) + abs(err.im))), eps)
+                value, max(stop + 1, 0), 0.0, True, "integer", _float_up(err, exp, den)),
+                e_sq, e_exp, err, exp, den)
 
     capped = n_max < top_index
     limit = n_max if capped else top_index
-    min_index = int(ctx.ceil(abs(zz))) + 5
+    # ceil(|z|) + 5 as mpmath rounds |z| and its ceiling at the precision
+    raw = from_man_exp(zr, ez), from_man_exp(zi, ez)
+    min_index = to_int(mpf_ceil(mpc_abs(raw, precision_bits, "n"), precision_bits, "n")) + 5
 
     re, im, exp, units, terms_used, reason, tail = _fixed_point_sum(
-        series, ctx, point, limit, min_index, eps)
-    from mpmath.libmp import from_man_exp
+        series, ctx, point, limit, min_index, e_sq, e_exp)
     value = ctx.make_mpc((from_man_exp(re, exp, precision_bits, "n"),
                           from_man_exp(im, exp, precision_bits, "n")))
-    scale = Fraction(2) ** exp
     # the final cast is the last rounding counted
-    err = ExactScalar(re * scale, im * scale) - lift(value)
-    radius = _float_up(units * scale + abs(err.re) + abs(err.im))
+    err, exp = _cast_error(units, re, im, exp, 1, value)
 
     if reason:  # "window" or "negligible"
         converged = True
@@ -497,14 +499,76 @@ def evaluate(series: BinomialSeries, z, eps: float = DEFAULT_EPS,
         converged, reason = False, "n_max"
     else:
         converged, reason = True, "exhausted"  # the stored object's full sum
-    return _defended(EvaluationResult(value, terms_used, tail, converged, reason, radius), eps)
+    return _defended(EvaluationResult(value, terms_used, tail, converged, reason,
+                                      _float_up(err, exp)), e_sq, e_exp, err, exp, 1)
 
 
-def _defended(result: EvaluationResult, eps) -> EvaluationResult:
-    """result, not converged for reason "precision" when, for positive finite
-    eps, its rounding_radius exceeds eps * max(1, |value|)."""
-    if result.converged and 0 < eps < math.inf and \
-            result.rounding_radius > eps * max(1.0, abs(complex(result.value))):
+def _point(z, ctx: MPContext) -> tuple:
+    """z as cast to ctx's precision, (re, im, exp) with (re + im i) 2^exp
+    its value and exp <= 0, as _gaussian(to_mpc(z, ctx)._mpc_, 0) gives it.
+
+    A Python float or complex, and an int of at most ctx.prec bits, cast
+    exactly, so they are taken apart without a cast; other points are cast.
+    """
+    if isinstance(z, (float, complex)):
+        parts = z.real, z.imag
+        if not all(map(math.isfinite, parts)):
+            raise ValueError("cannot evaluate with a non-finite value")
+        # the denominators are powers of two
+        (p_re, q_re), (p_im, q_im) = (x.as_integer_ratio() for x in parts)
+        k = max(q_re, q_im).bit_length()
+        return p_re << k - q_re.bit_length(), p_im << k - q_im.bit_length(), 1 - k
+    if isinstance(z, int) and z.bit_length() <= ctx.prec:
+        return int(z), 0, 0
+    return _gaussian(to_mpc(z, ctx)._mpc_, 0)
+
+
+def _eps_squared(eps, ctx: MPContext) -> tuple:
+    """(e_sq, e_exp) with eps^2 = e_sq 4^e_exp for eps as ctx casts it; e_sq
+    is 0 for eps <= 0, NaN and inf, which stop no sum.  A float casts
+    exactly, so it is taken apart without a cast."""
+    if isinstance(eps, float):
+        if not 0 < eps < math.inf:
+            return 0, 0
+        num, den = eps.as_integer_ratio()  # den is a power of two
+        return num * num, 1 - den.bit_length()
+    sign, man, exp, _ = ctx.mpf(eps)._mpf_
+    return 0 if sign else man * man, exp
+
+
+def _cast_error(units: int, re: int, im: int, exp: int, den: int, value) -> tuple:
+    """The radius of the mpc value cast from a sum S = (re + im i)/den 2^exp
+    that lies within units/den 2^exp of what it stands for: units plus
+    |re(S - value)| + |im(S - value)|, as (err, e) with the radius
+    err/den 2^e.  e is exp, or lower where a part of value lies lower
+    (which needs exp <= 0: at integer points exp is 0)."""
+    v_re, v_im, e = _gaussian(value._mpc_, exp)
+    s = exp - e
+    return (units << s) + abs((re << s) - den * v_re) + abs((im << s) - den * v_im), e
+
+
+def _defended(result: EvaluationResult, e_sq: int, e_exp: int, err: int, exp: int,
+              den: int) -> EvaluationResult:
+    """result, not converged for reason "precision" when its radius
+    err/den 2^exp exceeds eps max(1, |value|), eps^2 = e_sq 4^e_exp; as it
+    is for e_sq = 0.
+
+    Decided exactly, as err^2 2^gap > rhs for integers at one exponent, the
+    side at the higher exponent shifted down to the other's (as the window
+    rule in _fixed_point_sum does), so it also holds where the radius or
+    |value| overflows a float.
+    """
+    if not (result.converged and e_sq):
+        return result
+    v_re, v_im, ev = _gaussian(result.value._mpc_)
+    v_sq = v_re * v_re + v_im * v_im
+    if v_sq.bit_length() + 2 * ev > 0:  # |value| >= 1
+        rhs, gap = e_sq * v_sq * den * den, 2 * (exp - e_exp - ev)
+    else:
+        rhs, gap = e_sq * den * den, 2 * (exp - e_exp)
+    # x 2^gap > r iff x > floor(r 2^-gap), and iff ceil(x 2^gap) > r
+    lhs = err * err
+    if (lhs > rhs >> gap) if gap >= 0 else (-(-lhs >> -gap) > rhs):
         return result._replace(converged=False, reason="precision")
     return result
 
@@ -592,7 +656,7 @@ def _bracket(num: int, den: int) -> tuple:
 
 
 def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit: int,
-                     min_index: int, eps) -> tuple:
+                     min_index: int, e_sq: int, e_exp: int) -> tuple:
     """Terms 0..limit of sum a_n z^(n_), summed in Gaussian-integer fixed point.
 
     point is z as (re, im, exp) with exp <= 0, so z - n is exact.  z^(n_) is
@@ -600,8 +664,9 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     a term is the exact product of that and the cast coefficient; the
     partial sum's exponent rises with the largest term, keeping width bits
     of it, and each term is floored into it.  The overflow test rounds the
-    term to the precision first.  Two rules may stop the sum before limit,
-    for positive finite eps only:
+    term to the precision first.  eps enters as eps^2 = e_sq 4^e_exp, e_sq
+    0 where eps is not positive and finite.  Two rules may stop the sum
+    before limit, for e_sq > 0 only:
       * negligible remainder, tested after each term n < limit.  For
         m >= n, |t_(m+1)| = |a_(m+1)/a_m| |z - m| |t_m| <= rho |t_m| with
         rho = S[n] |z| + U[n] from the series' memo of ratio suffix maxima
@@ -640,9 +705,6 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     width = prec + GUARD
     zr, zi, ez = point
     unit = 1 << -ez
-    # eps^2 = e_sq 4^e_exp; 0 for eps <= 0, NaN and inf, which stop no sum
-    sign, man, e_exp, _ = ctx.mpf(eps)._mpf_
-    e_sq = 0 if sign else man * man
     if e_sq:
         ratio_max, ratio_m = series._memoized(
             "ratios", lambda: _ratio_maxima(series._exact_coeffs))
@@ -769,15 +831,28 @@ def _scaled(x: float, e: int) -> float:
         return math.inf
 
 
-def _float_up(q: Fraction) -> float:
-    """The least float >= q, for q >= 0; inf above the float range."""
-    if not q:
+def _float_up(num: int, exp: int, den: int = 1) -> float:
+    """The least float >= num/den 2^exp, for num >= 0 and den > 0; inf above
+    the float range, and the least subnormal for any positive value below it."""
+    if not num:
         return 0.0
+    # 2^(top - 2) < num/den 2^exp < 2^top
+    top = num.bit_length() - den.bit_length() + 1 + exp
+    if top > 1026:
+        return math.inf
+    if top < -1074:
+        return math.ulp(0.0)
+    # the floats next to the value lie 2^u or 2^(u + 1) apart: m 2^u, the
+    # least multiple of 2^u at or above it, is a float unless m > 2^53 is odd
+    u = max(top - 54, -1074)
+    s = exp - u
+    m = -(-(num << s) // den) if s >= 0 else -(-num // (den << -s))
+    if m > 1 << 53:
+        m += m & 1
     try:
-        f = float(q)
+        return math.ldexp(m, u)
     except OverflowError:
         return math.inf
-    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -232,8 +232,9 @@ def solve_recurrence(rec: CoefficientRecurrence,
     polynomials, and the last `order` coefficients are kept as Gaussian-
     integer numerators over one positive running denominator.  Each step
     divides by the leading value through its conjugate, so the denominator
-    grows by a positive integer; the window is then divided by its gcd, and
-    the new coefficient is reduced once as it is emitted.
+    grows by a positive integer; the window and the denominator are then
+    divided by their gcd (_reduced), and the new coefficient is reduced once
+    as it is emitted.
 
     Raises SingularRecurrenceError when the leading recurrence polynomial
     vanishes at a needed index (no resonance analysis is attempted) and
@@ -263,15 +264,31 @@ def solve_recurrence(rec: CoefficientRecurrence,
         new = (-(s_re * u_re + s_im * u_im), s_re * u_im - s_im * u_re)
         window = [(x_re * scale, x_im * scale) for x_re, x_im in window[1:]]
         window.append(new)
-        den *= scale
-        # newest first: its numerators are usually the smallest, and gcd stops at 1
-        g = math.gcd(*(x for pair in reversed(window) for x in pair), den)
-        if g > 1:
-            window = [(x_re // g, x_im // g) for x_re, x_im in window]
-            den //= g
+        window, den = _reduced(window, den, scale)
         a.append(from_numerators(*window[-1], den))
         m += 1
     return tuple(a[:n_target + 1])
+
+
+def _reduced(window: list, den: int, scale: int) -> tuple[list, int]:
+    """The window over den scale, divided by the gcd of all its numerators
+    and that denominator: (window, denominator).
+
+    With w the window's gcd and g1 = gcd(w, scale), the gcd is
+    g1 gcd(w/g1, den), as w/g1 and scale/g1 are coprime: den, the large
+    one, is read only when w/g1 > 1.  An all-zero window (w = 0) is 0/1.
+    """
+    # newest first: its numerators are usually the smallest, and gcd stops at 1
+    w = math.gcd(*(x for pair in reversed(window) for x in pair))
+    if not w:
+        return window, 1
+    g = math.gcd(w, scale)
+    h = math.gcd(w // g, den) if w > g else 1
+    den = (den // h if h > 1 else den) * (scale // g)
+    g *= h
+    if g > 1:
+        window = [(x_re // g, x_im // g) for x_re, x_im in window]
+    return window, den
 
 
 def formal_solve(eq: LinearDifferenceEquation,
@@ -421,20 +438,20 @@ def continuation_eval(eq: LinearDifferenceEquation, series: BinomialSeries, z,
     # the floor test needs no precision: |c_k| as floats, highest power first
     b0_sizes = [magnitude(c) for c in reversed(b0_poly.coeffs)]
     floor = 2.0 ** (-precision_bits / 2)
+    # each b_j cast once for every step
+    b0_at = b0_poly.cast(ctx)
+    b_at = [(j, bj.cast(ctx)) for j, bj in enumerate(shift_eq.coeffs) if j and not bj.is_zero()]
     for k in range(k_steps - 1, -1, -1):
         w = zz + k
-        b0 = b0_poly.eval_numeric(w, ctx)
+        b0 = b0_at(w)
         r, size = abs(complex(w)), 0.0
         for c in b0_sizes:
             size = size * r + c
         if abs(complex(b0)) <= floor * size:
             raise PoleError(complex(w))
         acc = ctx.mpc(0)
-        for j in range(1, p + 1):
-            bj = shift_eq.coefficient(j)
-            if bj.is_zero():
-                continue
-            acc += bj.eval_numeric(w, ctx) * values[k + j]
+        for j, bj in b_at:
+            acc += bj(w) * values[k + j]
         values[k] = -acc / b0
     return ContinuationResult(values[0], converged, k_steps, p, re_threshold)
 
@@ -479,12 +496,12 @@ def verify_solution(eq: LinearDifferenceEquation,
     evaluator maps a point to a value (any complex-like); evaluation failures
     propagate to the caller.
     """
-    shift_eq = to_shift_form(eq)
     ctx = _context(precision_bits)
+    b_at = [(j, bj.cast(ctx)) for j, bj in enumerate(to_shift_form(eq).coeffs)
+            if not bj.is_zero()]
 
     def residual(zz, y):
-        terms = [bj.eval_numeric(zz, ctx) * y(zz + j)
-                 for j, bj in enumerate(shift_eq.coeffs) if not bj.is_zero()]
+        terms = [bj(zz) * y(zz + j) for j, bj in b_at]
         scale = max((abs(t) for t in terms), default=ctx.mpf(0))
         total = abs(sum(terms, ctx.mpc(0)))
         return float(total / scale) if scale > 0 else 0.0

@@ -10,9 +10,12 @@ bits; at 600 bits the order-half truths agree to every digit quoted below.
 
 A case evaluate still gets wrong is a strict expected failure: a change that
 makes it honest turns it into an unexpected pass, which fails the suite
-until the mark is removed.
+until the mark is removed.  A radius above the float range reads inf and
+so covers any value; the rows where it also exceeds eps |value| must read
+"precision", and are tested by name below.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -34,6 +37,7 @@ def _order_half():
                                            ORACLE.mpf(1) / 4)
 
 
+@functools.cache  # shared, with its memo: N = 3000 takes a second to cast and bound
 def _geometric(n_terms):
     series, _ = formal_solve(LinearDifferenceEquation("delta", (poly("-1/2"), poly(1))),
                              {0: 1}, n_terms)
@@ -90,6 +94,28 @@ def test_the_radius_row_is_reported_as_precision():
     res = evaluate(series, complex(1e5, 0.5))
     assert (res.converged, res.reason, res.terms_used) == (False, "precision", 301)
     assert res.rounding_radius > 10 * abs(res.value)
+
+
+@pytest.mark.parametrize("z", [complex(1900, 1500), complex(1800, 2500)],
+                         ids=["1900+1500i", "1800+2500i"])
+def test_overflowing_radius_rows_are_reported_as_precision(z):
+    # the radius and |value| both lie above the float range, where a float
+    # comparison reads inf > eps inf as False; the verdict is exact instead.
+    # The values are 8.6e408 and 2.8e560 against |(3/2)^z| of 4e334 and 9e316
+    series, _ = _geometric(3000)
+    res = evaluate(series, z)
+    assert (res.converged, res.reason) == (False, "precision")
+    assert res.rounding_radius == math.inf and abs(complex(res.value)) == math.inf
+
+
+def test_an_overflowing_value_with_a_small_radius_stays_converged():
+    # (3/2)^3000 = 1.9e528, summed exactly and cast once: the radius, inf as a
+    # float, is about 2^-128 |value|
+    series, truth = _geometric(3000)
+    res = evaluate(series, 3000)
+    assert (res.converged, res.reason, res.terms_used) == (True, "integer", 3001)
+    assert res.rounding_radius == math.inf
+    assert abs(ORACLE.mpc(res.value) - truth(3000)) <= ORACLE.ldexp(abs(truth(3000)), -127)
 
 
 @pytest.mark.parametrize("z", [2.5, complex(3, 1)], ids=["2.5", "3+1i"])

@@ -9,6 +9,7 @@ seconds.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -24,6 +25,7 @@ from fallfact.polynomial import Polynomial, RationalFunction, poly
 from fallfact.series import (BinomialSeries, approx_series, binomial_from_taylor, delta,
                              evaluate_exact, linear_combine, mul_by_poly, mul_by_z,
                              shift, taylor_from_binomial)
+import fallfact.solver as solver_mod
 from fallfact.solver import (DELTA_FORM, LinearDifferenceEquation, derive_recurrence,
                              solve_recurrence)
 
@@ -294,6 +296,14 @@ def _equations(scalars):
     return st.lists(poly_st, min_size=2, max_size=4)
 
 
+def _reduction_branch(window, den, scale):
+    """Which way solver._reduced takes the gcd of this window over den scale."""
+    w = math.gcd(*(x for pair in window for x in pair))
+    if not w:
+        return "reduction: zero window"
+    return "reduction: den read" if w > math.gcd(w, scale) else "reduction: den not read"
+
+
 def _check_solver(coeffs, free_draw):
     try:
         eq = LinearDifferenceEquation(DELTA_FORM, tuple(coeffs))
@@ -303,8 +313,16 @@ def _check_solver(coeffs, free_draw):
     event(f"prefix constraints: {len(rec.prefix_constraints)}")
     free = {col: free_draw[col % len(free_draw)] for col in _free_columns(rec)}
     n_target = rec.block_size + 20
+    branches = set()
+    reduced = solver_mod._reduced
+
+    def spy(window, den, scale):
+        branches.add(_reduction_branch(window, den, scale))
+        return reduced(window, den, scale)
+
     try:
-        got = solve_recurrence(rec, free, n_target)
+        with mock.patch.object(solver_mod, "_reduced", spy):
+            got = solve_recurrence(rec, free, n_target)
     except SingularRecurrenceError as exc:
         event("singular")
         block = solve_recurrence(rec, free, rec.block_size - 1) if rec.block_size else ()
@@ -312,6 +330,8 @@ def _check_solver(coeffs, free_draw):
             reference_solve(rec, block, n_target)
         assert ref_exc.value.index == exc.index
         return
+    for branch in sorted(branches):
+        event(branch)
     assert list(got) == reference_solve(rec, got[:rec.block_size], n_target)
     for row in rec.prefix_constraints:
         assert sum((c * a for c, a in zip(row, got)), as_exact(0)).is_zero()
@@ -322,9 +342,14 @@ def _check_solver(coeffs, free_draw):
         assert got[col] == v
 
 
+# the window's gcd w against g1 = gcd(w, scale) in solver._reduced: w = g1
+# (the denominator is not read), w > g1 (it is), and w = 0
 @PROPERTY
 @given(_equations(st.builds(ExactScalar, small)),
        st.lists(real_scalars, min_size=1, max_size=4))
+@example([poly(1), poly(3), poly(6, 4)], [as_exact(1), as_exact("-1/2")])  # w = g1
+@example([poly(2), poly(1)], [as_exact(1)])                               # w > g1
+@example([poly(0), poly(0), poly(1)], [as_exact(1)])                      # w = 0
 def test_solver_integer_equations(coeffs, free_draw):
     _check_solver(coeffs, free_draw)
 
@@ -332,6 +357,10 @@ def test_solver_integer_equations(coeffs, free_draw):
 @PROPERTY
 @given(_equations(st.builds(ExactScalar, small, small)),
        st.lists(gaussian_scalars, min_size=1, max_size=4))
+@example([poly(1), poly(as_exact("3-1i")), poly(as_exact("6+2i"), 4)],
+         [as_exact(1), as_exact("-1/2+1/3i")])                            # w = g1
+@example([poly(as_exact("2+2i")), poly(1)], [as_exact("1+1i")])             # w > g1
+@example([poly(0), poly(0), poly(as_exact("1+1i"))], [as_exact("1-1i")])   # w = 0
 def test_solver_gaussian_equations(coeffs, free_draw):
     _check_solver(coeffs, free_draw)
 

@@ -183,6 +183,29 @@ def test_each_shifted_point_is_evaluated_once(check, residual_hex):
     assert [r.hex() for r in rep.residuals] == residual_hex  # frozen before the cache
 
 
+@pytest.mark.parametrize("check", [verify_riccati, g_step_check])
+def test_each_coefficient_is_cast_once_per_call(check, monkeypatch):
+    import fallfact.polynomial as polynomial_mod
+    from fallfact.exact import ExactScalar
+    inst = riccati_instance(4, 6, 3)
+    ev = order_half_evaluator()
+    casts = []
+    real_to_mpc = polynomial_mod.to_mpc
+
+    def counting(x, ctx):
+        if isinstance(x, ExactScalar):  # a coefficient, not the point
+            casts.append(x)
+        return real_to_mpc(x, ctx)
+
+    monkeypatch.setattr(polynomial_mod, "to_mpc", counting)
+    counts = []
+    for points in (README_POINTS[:1], README_POINTS):
+        del casts[:]
+        check(inst, ev, points, eps=1e-8, precision_bits=256)
+        counts.append(len(casts))
+    assert counts[0] == counts[1] > 0
+
+
 def test_skipped_point_evaluates_only_what_its_residual_read():
     inst = riccati_instance(1, 0, 0)
     calls = []

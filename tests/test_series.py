@@ -679,6 +679,175 @@ def test_tail_bound_covers_the_stored_remainder(s, z, bits, eps, n_max):
         assert old[1] >= res.terms_used
 
 
+# ---------------------------------------------------------------------------
+# the rounding radius and the point, taken in integers
+# ---------------------------------------------------------------------------
+
+def _float_up_oracle(q: Fraction) -> float:
+    """The least float >= q >= 0, inf above the float range, by Fraction."""
+    if not q:
+        return 0.0
+    try:
+        f = float(q)
+    except OverflowError:
+        return math.inf
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2 ** 200), st.integers(-1400, 1100),
+       st.one_of(st.just(1), st.integers(1, 2 ** 90)))
+@example(1, -1075, 1)                     # below the least subnormal
+@example(3, -1076, 1)
+@example(1, -1074, 1)                     # the least subnormal itself
+@example(2 ** 52 + 1, -1074, 1)           # just above the normal range's start
+@example(2 ** 53 + 1, 0, 1)               # needs 54 bits: rounds up
+@example(2 ** 53 - 1, 971, 1)             # the largest float
+@example(2 ** 54 - 1, 970, 1)             # just below 2^1024: inf
+@example(1, 1024, 1)
+@example(10 ** 40, -1200, 3)
+def test_float_up_is_the_least_float_at_or_above(num, exp, den):
+    from fallfact.series import _float_up
+    want = _float_up_oracle(Fraction(num, den) * Fraction(2) ** exp)
+    assert _float_up(num, exp, den) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 80), st.integers(-400, 400),
+       st.one_of(st.just(1), st.integers(1, 2 ** 40)),
+       st.integers(-2 ** 60, 2 ** 60), st.integers(-2 ** 60, 2 ** 60), st.integers(-300, 300),
+       st.floats(1e-300, 1e300))
+# at eps = 2^-10: a radius of exactly eps |value| stands, one bit more does not,
+# and |value| = 1.5 widens what stands; a denominator off the power of two
+@example(2 ** 20, -30, 1, 1, 0, 0, 2.0 ** -10)
+@example(2 ** 20 + 1, -30, 1, 1, 0, 0, 2.0 ** -10)
+@example(2 ** 20 + 1, -30, 1, 3, 0, -1, 2.0 ** -10)
+@example(3 * 2 ** 20 + 1, -30, 3, 0, 1, -2, 2.0 ** -10)
+@example(3 * 2 ** 20, -30, 3, 0, 1, -2, 2.0 ** -10)
+def test_precision_verdict_compares_the_exact_radius(err, exp, den, v_re, v_im, ev, eps):
+    # "precision" exactly when err/den 2^exp > eps max(1, |value|), also far
+    # outside the float range on either side
+    from mpmath.libmp import from_man_exp
+    from fallfact.exact import lift
+    from fallfact.series import EvaluationResult, _defended, _eps_squared
+    ctx = make_context(128)
+    value = ctx.make_mpc((from_man_exp(v_re, ev), from_man_exp(v_im, ev)))
+    got = _defended(EvaluationResult(value, 1, 0.0, True, "window", 0.0),
+                    *_eps_squared(eps, ctx), err, exp, den)
+    radius = Fraction(err, den) * Fraction(2) ** exp
+    stands = radius ** 2 <= Fraction(eps) ** 2 * max(1, lift(value).abs_squared())
+    assert (got.converged, got.reason) == ((True, "window") if stands else (False, "precision"))
+
+
+def _float_sample_series(values):
+    from fallfact.interp import newton_series
+    return newton_series(values)
+
+
+_radius_series = st.one_of(
+    _decaying_series(),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12).map(_float_sample_series))
+_radius_points = st.one_of(
+    _points,
+    st.integers(-5, 40),
+    st.sampled_from([1e-320, complex(1e-320, -3e-321), 5e-324, 1e300, complex(-1e300, 2e299),
+                     40 + 1e-30j]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_radius_series, _radius_points, st.integers(53, 300), st.sampled_from([10000, 5, 2]))
+@example(exact_series([1, 2, 3]), 1e300, 53, 5)           # a radius above the float range
+@example(exact_series([Fraction(1, 3)] * 4), 1e-320, 200, 10000)
+@example(exact_series([Fraction(1, 3), Fraction(2, 7)]), 7, 53, 10000)  # integer point
+# terms near 1e8 cancel to 1e-8: at 53 bits the radius exceeds eps |value|
+@example(exact_series([Fraction((-1) ** n, math.factorial(n)) for n in range(40)]), 30.5, 53,
+         10000)
+def test_rounding_radius_is_the_fraction_expression(s, z, bits, n_max):
+    # the radius evaluate computes in integers equals, bit for bit, the least
+    # float at or above the exact rational it bounds, written in Fraction:
+    # units 2^exp + |sum - value| in the sum, |total - value| at an integer
+    from unittest import mock
+    import fallfact.series as series_mod
+    from fallfact.exact import lift
+    kernel = series_mod._fixed_point_sum
+    sums = []
+
+    def spy(*args):
+        sums.append(kernel(*args))
+        return sums[-1]
+
+    with mock.patch.object(series_mod, "_fixed_point_sum", spy):
+        res = evaluate(s, z, 1e-12, n_max, precision_bits=bits)
+    value = lift(res.value)
+    if sums:
+        re, im, exp, units = sums[0][:4]
+        scale = Fraction(2) ** exp
+        err = ExactScalar(re * scale, im * scale) - value
+        radius = units * scale + abs(err.re) + abs(err.im)
+        event("summed, radius inf" if _float_up_oracle(radius) == math.inf else "summed")
+    else:
+        err = evaluate_exact(s, lift(z)) - value
+        radius = abs(err.re) + abs(err.im)
+        event("integer")
+    assert res.rounding_radius == _float_up_oracle(radius)
+    event(res.reason)
+    # the verdict compares that exact radius, not its float
+    defended = radius ** 2 <= Fraction(1e-12) ** 2 * max(1, value.abs_squared())
+    if res.reason == "precision":
+        assert not defended
+    elif res.converged:
+        assert defended
+
+
+_SAMPLE_POINTS = [0, 0.0, -0.0, 5e-324, -1e-320, 2.2250738585072014e-308, 1e308,
+                  -1.7976931348623157e308, 0.5, 1 / 3, -2.75, True, False, 1, -7, 2 ** 52 + 1,
+                  2 ** 53 + 1, -(2 ** 200) + 1, 10 ** 40 + 1, complex(-0.0, 1e-320),
+                  complex(1e308, -5e-324), complex(3, 0), 40 + 1e-30j]
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128, 300])
+def test_points_are_taken_apart_as_their_cast_gives_them(bits):
+    # floats, complex and ints that fit the precision are read without a
+    # cast; larger ints are cast and rounded, as every other type is
+    from fallfact.exact import to_mpc
+    from fallfact.series import _gaussian, _point
+    ctx = make_context(bits)
+    points = _SAMPLE_POINTS + [2 ** bits - 1, 2 ** bits + 1, -(2 ** (bits + 7)) - 3]
+    for z in points:
+        assert _point(z, ctx) == _gaussian(to_mpc(z, ctx)._mpc_, 0), (z, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.complex_numbers(allow_nan=False, allow_infinity=False),
+                 st.integers(-2 ** 140, 2 ** 140)),
+       st.sampled_from([53, 64, 128]))
+def test_any_finite_point_is_taken_apart_as_its_cast_gives_it(z, bits):
+    from fallfact.exact import to_mpc
+    from fallfact.series import _gaussian, _point
+    ctx = make_context(bits)
+    assert _point(z, ctx) == _gaussian(to_mpc(z, ctx)._mpc_, 0)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(math.nan, 0),
+                               complex(0, -math.inf)])
+def test_non_finite_points_are_refused(z):
+    with pytest.raises(ValueError, match="cannot evaluate with a non-finite value"):
+        evaluate(geometric_series(10), z)
+
+
+def test_min_index_is_ceil_of_the_rounded_modulus():
+    # |40 + 1e-30 i| exceeds 40 by 1.25e-62, which 128 bits round away, so
+    # the window may close from n = 45 on, not 46.  The terms past n = 40
+    # carry the factor z - 40 = 1e-30 i and are small at once; the ratios 1
+    # certify no remainder, so the window closes at n = 49
+    s = exact_series([1] * 61)
+    z = 40 + 1e-30j
+    res = evaluate(s, z)
+    assert (res.terms_used, res.converged, res.reason) == (50, True, "window")
+    assert _reference_evaluate(s, z)[1:] == (50, True, "window")
+
+
 def test_threads_share_the_cast_memo_safely():
     # threads grow the same prefixes in different orders under a short switch
     # interval; a racing store may repeat a cast but never keep a wrong one

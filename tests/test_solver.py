@@ -9,8 +9,8 @@ from fallfact.errors import (DeterminacyError, InputFormatError, PoleError,
                              SingularRecurrenceError)
 from fallfact.exact import ONE, ZERO, as_exact
 from fallfact.polynomial import Polynomial, poly
-from fallfact.series import (delta, evaluate, exact_series, linear_combine, mul_by_poly,
-                             taylor_from_binomial)
+from fallfact.series import (delta, evaluate, exact_series, linear_combine, make_context,
+                             mul_by_poly, taylor_from_binomial)
 from fallfact.solver import (DELTA_FORM, SHIFT_FORM, CoefficientRecurrence,
                              LinearDifferenceEquation, candidate_orders,
                              continuation_eval, default_re_threshold,
@@ -393,6 +393,63 @@ def test_continuation_classifies_a_series_once(monkeypatch):
         with pytest.raises(InputFormatError, match="not classified"):
             continuation_eval(eq, junk, -1.0)
     assert calls == [len(s.coeffs), len(junk.coeffs)]
+
+
+def _continued_with_a_cast_per_step(eq, series, z):
+    """continuation_eval's backward recursion with every b_j cast again at
+    each step, and Horner's rule started from 0, as it was first written."""
+    from fallfact.exact import to_mpc
+    shift_eq = to_shift_form(eq)
+    ctx = make_context(128)
+    zz = ctx.mpc(z)
+
+    def at(p, w):
+        acc = ctx.mpc(0)
+        for c in reversed(p.coeffs):
+            acc = acc * w + to_mpc(c, ctx)
+        return acc
+
+    k_steps = math.floor(default_re_threshold(series, 1e-12) - float(zz.real)) + 1
+    values = {k_steps + j: evaluate(series, zz + (k_steps + j)).value
+              for j in range(shift_eq.order)}
+    for k in range(k_steps - 1, -1, -1):
+        w = zz + k
+        acc = ctx.mpc(0)
+        for j in range(1, shift_eq.order + 1):
+            acc += at(shift_eq.coefficient(j), w) * values[k + j]
+        values[k] = -acc / at(shift_eq.coeffs[0], w)
+    return values[0], k_steps
+
+
+def test_continuation_and_verify_cast_each_coefficient_once_per_call(monkeypatch):
+    import fallfact.polynomial as polynomial_mod
+    from fallfact.exact import ExactScalar
+    s, _ = formal_solve(ORDER_HALF, {0: 1, 1: Fraction(-1, 2)}, 300)
+    n_coeffs = sum(len(b.coeffs) for b in to_shift_form(ORDER_HALF).coeffs)
+    points = [complex(-0.5, 1), complex(-9.5, 0.5), -20.25]
+    want = [_continued_with_a_cast_per_step(ORDER_HALF, s, z) for z in points]
+    assert len({k for _, k in want}) == 3
+    casts = []
+    real_to_mpc = polynomial_mod.to_mpc
+
+    def counting(x, ctx):
+        if isinstance(x, ExactScalar):  # a coefficient, not the point
+            casts.append(x)
+        return real_to_mpc(x, ctx)
+
+    monkeypatch.setattr(polynomial_mod, "to_mpc", counting)
+    for z, (value, k_steps) in zip(points, want):
+        del casts[:]
+        res = continuation_eval(ORDER_HALF, s, z)
+        assert res.steps == k_steps
+        assert len(casts) == n_coeffs, k_steps
+        assert res.value == value
+    # the shift-form residual casts once for any number of points
+    for count in (1, 7):
+        del casts[:]
+        verify_solution(ORDER_HALF, lambda w: evaluate(s, w).value,
+                        [complex(1 + k, 0.5) for k in range(count)])
+        assert len(casts) == n_coeffs
 
 
 def test_formal_solve_estimates_chi_once(monkeypatch):
