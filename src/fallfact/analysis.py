@@ -137,11 +137,15 @@ def chi_estimate(coeffs: Sequence) -> ChiEstimate:
     Zero coefficients are skipped, not treated as -inf.  The all-zero
     sequence has chi 0 by convention.  Needs MIN_GROWTH_COEFFS coefficients.
     """
-    logs = [log_abs(c) for c in coeffs]
-    lo, hi = len(coeffs) // 2, max(len(coeffs) - 1, 0)
+    return _chi_from_logs([log_abs(c) for c in coeffs])
+
+
+def _chi_from_logs(logs: Sequence[float | None]) -> ChiEstimate:
+    """chi_estimate of the coefficients whose log_abs values are logs."""
+    lo, hi = len(logs) // 2, max(len(logs) - 1, 0)
     if all(la is None for la in logs):
         return ChiEstimate(0.0, (lo, hi), (), False, True)
-    if len(coeffs) < MIN_GROWTH_COEFFS:
+    if len(logs) < MIN_GROWTH_COEFFS:
         raise ValueError(f"a window estimate needs {MIN_GROWTH_COEFFS} coefficients")
     trace = _s_trace(logs)
     in_window = [s for n, s in trace if lo <= n <= hi]
@@ -165,15 +169,17 @@ def classify(coeffs: Sequence) -> Classification:
     numbers included: chi, whether it is undefined, and the window it was
     estimated over.  A nonzero sequence shorter than MIN_GROWTH_COEFFS is
     unknown with chi nan."""
-    if len(coeffs) < MIN_GROWTH_COEFFS and not all(lift(c).is_zero() for c in coeffs):
+    lifted = [lift(c) for c in coeffs]
+    logs = [log_abs(a) for a in lifted]  # None for a zero
+    if len(coeffs) < MIN_GROWTH_COEFFS and any(la is not None for la in logs):
         return Classification(UNKNOWN, math.nan, True, (0, len(coeffs) - 1))
-    est = chi_estimate(coeffs)
+    est = _chi_from_logs(logs)
     if est.zero_sequence:
         return Classification(ENTIRE, 0.0, False, est.window)
     if not est.undefined and est.value < 1.0 - _ENTIRE_MARGIN:
         return Classification(ENTIRE, est.value, False, est.window)
 
-    log_best, best_idx = _exact_peak_of_an_nfact(coeffs)
+    log_best, best_idx = _exact_peak_of_an_nfact(lifted, logs)
     if log_best is not None and best_idx < math.floor(0.75 * len(coeffs)) \
             and log_best < 1400.0:
         return Classification(RIGHT_HALF_PLANE, est.value, est.undefined, est.window,
@@ -187,23 +193,22 @@ def classify(coeffs: Sequence) -> Classification:
 _KEY_TOLERANCE = 1e-12
 
 
-def _exact_peak_of_an_nfact(coeffs: Sequence) -> tuple[float | None, int | None]:
-    """First argmax of |a_n| n! by exact cross-multiplied comparison.
+def _exact_peak_of_an_nfact(lifted: Sequence[ExactScalar],
+                            logs: Sequence[float | None]) -> tuple[float | None, int | None]:
+    """First argmax of |a_n| n! by exact cross-multiplied comparison, over
+    the coefficients' exact images and their log_abs values.
 
-    The coefficients are lifted exactly.  Returns (log of the squared peak,
-    index); float log only at the end.  A float key screens the indices
-    first: one whose key falls short of the best by more than
-    _KEY_TOLERANCE (1 + the most bits of any index) cannot be an argmax, so
-    only the others are compared exactly.
+    Returns (log of the squared peak, index); float log only at the end.  A
+    float key screens the indices first: one whose key falls short of the
+    best by more than _KEY_TOLERANCE (1 + the most bits of any index) cannot
+    be an argmax, so only the others are compared exactly.
     """
-    lifted = [lift(a) for a in coeffs]
     keys: list[float | None] = []
     fact = 1
     most_bits = 0
-    for n, a in enumerate(lifted):
+    for n, (a, la) in enumerate(zip(lifted, logs)):
         if n:
             fact *= n
-        la = log_abs(a)
         keys.append(None if la is None else 2.0 * la + 2.0 * math.log(fact))
         most_bits = max(most_bits, fact.bit_length() + sum(
             v.bit_length() for v in (a.re.numerator, a.re.denominator,

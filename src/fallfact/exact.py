@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re as _re
-import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -243,22 +242,41 @@ def _binary_fraction(raw: tuple) -> Fraction:
 def magnitude(x: ExactScalar) -> float:
     """|x| as a float: inf above the float range, the least subnormal below it.
 
-    Only x = 0 reads 0.0.  Where |x|^2 leaves the normal float range (which
-    happens long before |x| does), |x| comes from the logarithms of the
-    exact numerator and denominator instead.
+    Only x = 0 reads 0.0.  |x|^2 is rounded up at an even exponent 2k that
+    brings it near 1, so its square root never leaves the normal float range
+    before it is scaled back by 2^k.
     """
     sq = x.abs_squared()
     if not sq:
         return 0.0
+    k = (sq.numerator.bit_length() - sq.denominator.bit_length()) // 2
     try:
-        sq_float = float(sq)
+        return max(math.ldexp(math.sqrt(_float_up(sq.numerator, -2 * k, sq.denominator)), k),
+                   math.ulp(0.0))
     except OverflowError:
-        sq_float = math.inf
-    if sys.float_info.min <= sq_float < math.inf:
-        return math.sqrt(sq_float)
-    half_log = 0.5 * (math.log(sq.numerator) - math.log(sq.denominator))
+        return math.inf
+
+
+def _float_up(num: int, exp: int, den: int = 1) -> float:
+    """The least float >= num/den 2^exp, for num >= 0 and den > 0; inf above
+    the float range, and the least subnormal for any positive value below it."""
+    if not num:
+        return 0.0
+    # 2^(top - 2) < num/den 2^exp < 2^top
+    top = num.bit_length() - den.bit_length() + 1 + exp
+    if top > 1026:
+        return math.inf
+    if top < -1074:
+        return math.ulp(0.0)
+    # the floats next to the value lie 2^u or 2^(u + 1) apart: m 2^u, the
+    # least multiple of 2^u at or above it, is a float unless m > 2^53 is odd
+    u = max(top - 54, -1074)
+    s = exp - u
+    m = -(-(num << s) // den) if s >= 0 else -(-num // (den << -s))
+    if m > 1 << 53:
+        m += m & 1
     try:
-        return max(math.exp(half_log), math.ulp(0.0))
+        return math.ldexp(m, u)
     except OverflowError:
         return math.inf
 

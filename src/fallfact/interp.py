@@ -34,7 +34,10 @@ def _lift_samples(values: Sequence) -> tuple[list[tuple[int, int]], int, bool]:
 
 
 def _leading_differences(row: list[int]) -> list[int]:
-    """(delta^n f)(0) for n = 0..N from f(0..N), one triangle row at a time."""
+    """(delta^n f)(0) for n = 0..N from f(0..N), one triangle row at a time;
+    an all-zero row has an all-zero triangle, which is not built."""
+    if not any(row):
+        return row
     leading = [row[0]]
     while len(row) > 1:
         row = [b - a for a, b in zip(row, row[1:])]

@@ -87,13 +87,9 @@ class Polynomial(_Value):
             acc = acc * x + c
         return acc
 
-    def eval_numeric(self, z, ctx):
-        """Horner evaluation at an mpc point under the given mpmath context."""
-        return self.cast(ctx)(to_mpc(z, ctx))
-
     def cast(self, ctx) -> Callable:
         """Horner evaluation at ctx.mpc points, each coefficient cast to ctx
-        once here: cast(ctx)(zz) equals eval_numeric(zz, ctx)."""
+        once here."""
         # the leading coefficient is the first partial value, as 0 zz + c is c
         lead, *rest = [to_mpc(c, ctx) for c in reversed(self.coeffs)] or [ctx.mpc(0)]
 
@@ -208,9 +204,6 @@ class RationalFunction(_Value):
 
     def __call__(self, z: CoeffLike) -> ExactScalar:
         return self.num(z) / self.den(z)
-
-    def eval_numeric(self, z, ctx):
-        return self.num.eval_numeric(z, ctx) / self.den.eval_numeric(z, ctx)
 
     def __str__(self) -> str:
         def wrap(p: Polynomial) -> str:

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequ
 # CLI tour replay swaps it on this module
 from .basis import StirlingTable, _change_basis, default_table  # noqa: F401
 from .errors import EvaluationOverflowError
-from .exact import (ExactScalar, ONE, ZERO, _Value, as_exact, from_numerators,
+from .exact import (ExactScalar, ONE, ZERO, _Value, _float_up, as_exact, from_numerators,
                     integer_numerators, lift, magnitude, to_mpc)
 from .polynomial import Polynomial, poly
 
@@ -377,10 +377,10 @@ class EvaluationResult(NamedTuple):
     value: object
     terms_used: int
     # a certified bound on sum_{terms_used <= m <= N} |a_m z^(m_)|, the
-    # stored terms not summed: 0.0 when none is left, inf where the ratio
-    # suffix maxima certify nothing or were not read (eps not positive and
-    # finite).  Nothing here bounds the terms of the infinite series beyond
-    # the stored a_N
+    # stored terms not summed, rounded up: 0.0 only when none is left or
+    # they are certified zero, inf where the ratios certify nothing or were
+    # not read (eps not positive and finite).  Nothing here bounds the terms
+    # of the infinite series beyond the stored a_N
     tail_bound: float
     converged: bool
     # "window" | "negligible" | "integer" | "exhausted" | "n_max" | "precision"
@@ -586,8 +586,8 @@ def _ratio_maxima(coeffs: Sequence) -> tuple[list, list]:
     S[n] >= |a_(m+1)/a_m| and U[n] >= m |a_(m+1)/a_m| for every n <= m < N,
     and S[N] = U[N] = 0.  A zero a_(m+1) gives the ratio 0; a zero a_m
     before a nonzero a_(m+1) gives inf, so nothing is certified across it.
-    Each |a_m| is bracketed from the top bits of its parts' own numerators
-    and denominators, so no big integer is multiplied.
+    Each |a_m| is bracketed from its parts' quotients, each rounded up to a
+    float once (_bracket).
     """
     brackets = [_abs_bracket(a) for a in coeffs]
     s = [0.0] * len(brackets)
@@ -600,7 +600,7 @@ def _ratio_maxima(coeffs: Sequence) -> tuple[list, list]:
         elif cur is None:
             r = math.inf
         else:
-            # the mantissa quotient lies within 2^+-110, so 2^+-900 keeps it
+            # the mantissa quotient lies within 2^+-3, so 2^+-900 keeps it
             # normal; a larger exponent gap only makes r larger
             gap = nxt[2] - cur[2]
             r = math.inf if gap > 900 else \
@@ -634,25 +634,12 @@ def _abs_bracket(a: ExactScalar):
 
 
 def _bracket(num: int, den: int) -> tuple:
-    """(lo, hi, e) with lo 2^e <= |num/den| <= hi 2^e, for num != 0, den > 0.
-
-    Each integer is cut to its top 53 bits, which lie within 1 of it
-    shifted, so lo and hi lie in 2^+-54.
-    """
-    sn, sd = num.bit_length() - 53, den.bit_length() - 53
-    if sn > 0:
-        hi_n = abs(num >> sn) + 1  # the floor or the ceiling of |num| 2^-sn, plus 1
-        lo_n = hi_n - 2
-    else:
-        lo_n = hi_n = abs(num)
-        sn = 0
-    if sd > 0:
-        lo_d = den >> sd
-        hi_d = lo_d + 1
-    else:
-        lo_d = hi_d = den
-        sd = 0
-    return lo_n / hi_d / _UP, hi_n / lo_d * _UP, sn - sd
+    """(lo, hi, e) with lo 2^e <= |num/den| <= hi 2^e, for num != 0, den > 0:
+    hi is |num/den| 2^-e, which lies in (1/2, 2), rounded up, and lo the
+    float below hi."""
+    e = num.bit_length() - den.bit_length()
+    hi = _float_up(abs(num), -e, den)
+    return math.nextafter(hi, 0.0), hi, e
 
 
 def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit: int,
@@ -688,10 +675,10 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     stored term.  reason is None when the sum ran to limit.  remainder
     bounds sum |t_m| over the stored terms after the last one summed, n,
     whatever ended the sum: 2^(top + 1) rho/(1 - rho) with rho at n, as in
-    the negligible rule, computed once after the loop; 0 when rho < 1
-    follows a zero term, and at the natural end n = N (S[N] = U[N] = 0);
-    inf when rho >= 1, or when terms are left and eps left the ratios
-    unread.  The units bound adds, with k the rescales of z^(n_) and
+    the negligible rule, computed once after the loop and rounded up; 0
+    when rho < 1 follows a zero term, and at the natural end n = N (S[N] =
+    U[N] = 0); inf when rho >= 1, or when terms are left and eps left the
+    ratios unread.  The units bound adds, with k the rescales of z^(n_) and
     u = 2^-width:
       * |a_n - cast a_n| <= 4 2^-prec |cast a_n| for a rounded cast (mpmath
         rounds numerator, denominator and quotient to nearest), else 0;
@@ -708,11 +695,11 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     if e_sq:
         ratio_max, ratio_m = series._memoized(
             "ratios", lambda: _ratio_maxima(series._exact_coeffs))
-        # |z| rounded up: inf above the float range, 2^-1000 times the top
-        # bits' modulus (at least 1) below it
+        # |z| rounded up, from the top 53 bits of its parts
         s = max((abs(zr) | abs(zi)).bit_length() - 53, 0)
-        z_abs = _scaled(math.hypot((abs(zr) >> s) + (s > 0), (abs(zi) >> s) + (s > 0)) * _UP,
-                        max(ez + s, -1000))
+        z_num, z_den = (math.hypot((abs(zr) >> s) + (s > 0), (abs(zi) >> s) + (s > 0))
+                        * _UP).as_integer_ratio()
+        z_abs = _float_up(z_num, ez + s, z_den)
     overflow_top = _OVERFLOW_TOP
     fr, fi, ef = 1, 0, 0  # carried z^(n_) = (fr + fi i) 2^ef
     dr = zr               # re(z - n) at exponent ez
@@ -811,7 +798,8 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     if remainder and e_sq and terms_used:
         rho = (ratio_max[n] * z_abs + ratio_m[n]) * _UP
         if rho < 1:
-            remainder = _scaled(rho / (1 - rho) * _UP, top + 1) if b else 0.0
+            q_num, q_den = (rho / (1 - rho) * _UP).as_integer_ratio()
+            remainder = _float_up(q_num, top + 1, q_den) if b else 0.0
     return pr, pi, es or 0, units, terms_used, reason, remainder
 
 
@@ -821,38 +809,6 @@ def _term_abs(tr: int, ti: int, et: int, ctx: MPContext):
     prec = ctx.prec
     return ctx.make_mpf(mpc_abs((from_man_exp(tr, et, prec, "n"),
                                  from_man_exp(ti, et, prec, "n")), prec, "n"))
-
-
-def _scaled(x: float, e: int) -> float:
-    """x 2^e; inf above the float range."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
-
-
-def _float_up(num: int, exp: int, den: int = 1) -> float:
-    """The least float >= num/den 2^exp, for num >= 0 and den > 0; inf above
-    the float range, and the least subnormal for any positive value below it."""
-    if not num:
-        return 0.0
-    # 2^(top - 2) < num/den 2^exp < 2^top
-    top = num.bit_length() - den.bit_length() + 1 + exp
-    if top > 1026:
-        return math.inf
-    if top < -1074:
-        return math.ulp(0.0)
-    # the floats next to the value lie 2^u or 2^(u + 1) apart: m 2^u, the
-    # least multiple of 2^u at or above it, is a float unless m > 2^53 is odd
-    u = max(top - 54, -1074)
-    s = exp - u
-    m = -(-(num << s) // den) if s >= 0 else -(-num // (den << -s))
-    if m > 1 << 53:
-        m += m & 1
-    try:
-        return math.ldexp(m, u)
-    except OverflowError:
-        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,14 @@ def _peaked(bumps=None):
             / math.factorial(n) for n in range(40)]
 
 
+def _peak(coeffs):
+    return _exact_peak_of_an_nfact(coeffs, [log_abs(c) for c in coeffs])
+
+
 def test_peak_exact_ties_give_the_first_index():
-    assert _exact_peak_of_an_nfact(_peaked()) == (math.log(25), 0)
+    assert _peak(_peaked()) == (math.log(25), 0)
     lower_start = _peaked({n: Fraction(1, 2) for n in range(5)})
-    assert _exact_peak_of_an_nfact(lower_start)[1] == 5
+    assert _peak(lower_start)[1] == 5
     got = classify(lower_start)
     assert (got.kind, got.k_index) == (RIGHT_HALF_PLANE, 5)
     assert got.k_bound == pytest.approx(5.0, rel=1e-15)
@@ -192,15 +196,15 @@ def test_peak_exact_ties_give_the_first_index():
 @pytest.mark.parametrize("eps", [Fraction(1, 10 ** 15), Fraction(1, 10 ** 30)])
 def test_peak_near_ties_resolve_exactly(eps):
     # a bump of 1 + eps wins, at its own index, over exact ties before it
-    _, idx = _exact_peak_of_an_nfact(_peaked({7: 1 + eps}))
+    _, idx = _peak(_peaked({7: 1 + eps}))
     assert idx == 7
     # a dip of 1 - eps loses to the first of the ties
-    _, idx = _exact_peak_of_an_nfact(_peaked({0: 1 - eps, 1: 1 - eps}))
+    _, idx = _peak(_peaked({0: 1 - eps, 1: 1 - eps}))
     assert idx == 2
     # two bumps that differ by eps: the larger wins, wherever it sits
-    _, idx = _exact_peak_of_an_nfact(_peaked({3: 2, 9: 2 + eps}))
+    _, idx = _peak(_peaked({3: 2, 9: 2 + eps}))
     assert idx == 9
-    _, idx = _exact_peak_of_an_nfact(_peaked({3: 2 + eps, 9: 2}))
+    _, idx = _peak(_peaked({3: 2 + eps, 9: 2}))
     assert idx == 3
 
 
@@ -211,7 +215,7 @@ def test_peak_log_is_that_of_the_exact_winner():
     coeffs = [ExactScalar(Fraction(3 ** (n * 40) + 1, 2 ** (n * 60)),
                           Fraction(5 ** (n * 30), 7 ** (n * 25) + 2))
               / math.factorial(n) ** 2 for n in range(30)]
-    log_best, idx = _exact_peak_of_an_nfact(coeffs)
+    log_best, idx = _peak(coeffs)
     values = [(c.abs_squared() * math.factorial(n) ** 2, n)
               for n, c in enumerate(coeffs)]
     _, want = max(values, key=lambda v: (v[0], -v[1]))

@@ -6,10 +6,13 @@ is (-1)^n (-z)_n and (2n)! is 4^n (1/2)_n n!.  Geometric, δy = y/2 with
 a0 = 1, is y = (3/2)^z.  Factorial, a_n = (-1)^n/n!, sums (-1)^n C(z, n),
 whose partial sum through n = N is exactly (-1)^N C(z - 1, N).  The oracle
 runs in mpmath at 256 bits, twice the default precision of the evaluations
-it checks.  A converged value must lie within its rounding_radius plus
-eps |value| of it; a value evaluate reports not converged must say why, by
-reason "precision" with a rounding_radius above eps max(1, |value|).  At
-256 bits every point converges.
+it checks.  A converged value must lie within min(rounding_radius, eps
+max(1, |value|)) plus eps |value| of it (a converged result's exact radius
+is at most eps max(1, |value|), so the min only stops a radius that reads
+inf above the float range from covering any value); a value evaluate
+reports not converged must say why, by reason "precision" with a
+rounding_radius above eps max(1, |value|).  At 256 bits every point
+converges.
 """
 
 import math
@@ -23,6 +26,7 @@ import pytest
 
 from fallfact.exact import ExactScalar, lift
 from fallfact.polynomial import poly
+from fallfact.riccati import riccati_equation
 from fallfact.series import evaluate, evaluate_exact, exact_series
 from fallfact.solver import LinearDifferenceEquation, formal_solve
 
@@ -49,8 +53,9 @@ def _assert_within_tolerance(series, points, eps, truth, bits):
             assert bits == 128 and res.reason == "precision", (z, res.reason)
             assert res.rounding_radius > eps * max(1, abs(res.value)), z
             continue
-        deviation = abs(ORACLE.mpc(res.value) - truth(z))
-        assert deviation <= res.rounding_radius + eps * abs(res.value), (z, res.reason)
+        value = ORACLE.mpc(res.value)
+        radius = min(ORACLE.mpf(res.rounding_radius), eps * max(1, abs(value)))
+        assert abs(value - truth(z)) <= radius + eps * abs(value), (z, res.reason)
 
 
 @pytest.mark.parametrize("eps, bits", SETTINGS)
@@ -72,6 +77,37 @@ def test_readme_modulus_values_are_kummers_function_at_minus_r():
     assert [r for r, _ in printed] == ["16", "64", "256", "1024"]
     for r, m in printed:
         assert float(m) == pytest.approx(float(abs(_kummer(-int(r)))), rel=5e-12), r
+
+
+def _riccati_members(count, seed=25):
+    """The README's (a, c) = (4, 3) and count seeded rational pairs, with
+    c != 1 and (c - 1)/a, the 1F1 parameter, not in {0, -1, -2, ...}."""
+    rng = random.Random(seed)
+    pairs = [(Fraction(4), Fraction(3))]
+    while len(pairs) <= count:
+        a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 4))
+        c = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        q = (c - 1) / a
+        if q > 0 or q.denominator != 1:
+            pairs.append((a, c))
+    return pairs
+
+
+def _oracle(q):
+    return ORACLE.mpf(q.numerator) / q.denominator
+
+
+@pytest.mark.parametrize("a, c", _riccati_members(7), ids=str)
+def test_riccati_members_with_b_equal_to_a_plus_c_minus_1_are_kummers_function(a, c):
+    # (az+b) δ²y + c δy + y = 0 with b = a + c - 1, a0 = 1 and a1 = -1/(c-1)
+    # is y = 1F1(-z; (c-1)/a; 1/a) by Kummer's contiguous relation (DLMF
+    # 13.3.1); order-half is the member (4, 6, 3)
+    series, _ = formal_solve(riccati_equation(a, a + c - 1, c), {0: 1, 1: -1 / (c - 1)}, 120)
+    points = [2.5, complex(-3, 1), complex(10.5, 4), complex(0.75, -2), -7.25,
+              complex(20, -15)]
+    _assert_within_tolerance(
+        series, points, 1e-30,
+        lambda z: ORACLE.hyp1f1(-ORACLE.mpc(z), _oracle((c - 1) / a), _oracle(1 / a)), 256)
 
 
 @pytest.mark.parametrize("eps, bits", SETTINGS)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fallfact.exact import ExactScalar, I, ONE, ZERO, as_exact, lift, to_mpc
+from fallfact.exact import ExactScalar, I, ONE, ZERO, as_exact, lift, magnitude, to_mpc
 from fallfact.series import make_context
 
 
@@ -117,6 +117,26 @@ def test_abs_squared_exact():
     x = as_exact("3/5+4/5i")
     assert x.abs_squared() == Fraction(1)
     assert math.isclose(abs(complex(x)), 1.0)
+
+
+@pytest.mark.parametrize("k", [-1200, -1073, -600, -540, -520, 0, 520, 700, 1023, 1030])
+def test_magnitude_is_within_one_ulp_at_any_scale(k):
+    # |x|^2 leaves the float range long before |x| does (from k = -512 and
+    # 512 here); |x| is still within one unit in its last place, inf above
+    # the float range and the least subnormal below it
+    ctx = make_context(200)
+    for x in (ExactScalar(Fraction(3, 7), Fraction(-2, 5)), ExactScalar(Fraction(5, 3)),
+              ExactScalar(Fraction(0), Fraction(1, 3))):
+        x = x * Fraction(2) ** k
+        want = abs(to_mpc(x, ctx))
+        got = magnitude(x)
+        if want > ctx.mpf(2) ** 1024:
+            assert got == math.inf, (x, got)
+        elif want < ctx.mpf(2) ** -1074:
+            assert got == math.ulp(0.0), (x, got)
+        else:
+            assert abs(ctx.mpf(got) - want) <= math.ulp(float(want)), (x, got)
+    assert magnitude(ZERO) == 0.0
 
 
 def test_lift_is_exact_and_finite_only():

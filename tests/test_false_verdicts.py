@@ -1,8 +1,11 @@
 """Verdicts evaluate gets wrong, each a named case against a closed form.
 
 A verdict is false when evaluate reports converged=True with
-|value - truth| > rounding_radius + eps max(1, |value|): the stored terms
-were not enough, or the precision was not, and the result does not say so.
+|value - truth| > min(rounding_radius, eps max(1, |value|)) + eps max(1,
+|value|): the stored terms were not enough, or the precision was not, and
+the result does not say so.  A converged result's exact radius is at most
+eps max(1, |value|) (else it reads "precision"), so the min only keeps a
+radius that reads inf above the float range from covering any value.
 The truths come from closed forms (see test_closed_forms.py): order-half is
 1F1(-z; 1/2; 1/4), geometric (3/2)^z, and the factorial series
 sum (-1)^n C(z, n) is 0 on Re z > 0.  They are computed in mpmath at 256
@@ -10,9 +13,9 @@ bits; at 600 bits the order-half truths agree to every digit quoted below.
 
 A case evaluate still gets wrong is a strict expected failure: a change that
 makes it honest turns it into an unexpected pass, which fails the suite
-until the mark is removed.  A radius above the float range reads inf and
-so covers any value; the rows where it also exceeds eps |value| must read
-"precision", and are tested by name below.
+until the mark is removed.  The rows whose radius lies above the float
+range and exceeds eps |value| must read "precision", and are tested by name
+below.
 """
 
 import functools
@@ -83,9 +86,10 @@ def test_verdict_is_not_false(build, z, kwargs):
     res = evaluate(series, z, **kwargs)
     eps = kwargs.get("eps", 1e-12)
     if res.converged:
-        deviation = abs(ORACLE.mpc(res.value) - truth(z))
-        assert deviation <= res.rounding_radius + eps * max(1, abs(res.value)), \
-            (res.reason, res.value)
+        value = ORACLE.mpc(res.value)
+        tolerance = eps * max(1, abs(value))
+        radius = min(ORACLE.mpf(res.rounding_radius), tolerance)
+        assert abs(value - truth(z)) <= radius + tolerance, (res.reason, res.value)
 
 
 def test_the_radius_row_is_reported_as_precision():

@@ -679,6 +679,21 @@ def test_tail_bound_covers_the_stored_remainder(s, z, bits, eps, n_max):
         assert old[1] >= res.terms_used
 
 
+@pytest.mark.parametrize("shift", [1050, 1200])
+@pytest.mark.parametrize("z", [0.5, complex(3.25, 1)], ids=["0.5", "3.25+1i"])
+def test_tail_bound_below_the_float_range_is_not_zero(shift, z):
+    # a_n = 2^-shift/(2n)!: the window stops the sum with stored terms left
+    # whose sum lies below the least subnormal; tail_bound rounds it up
+    from fallfact.exact import lift
+    from fallfact.series import _exact_terms
+    s = exact_series([Fraction(1, 2 ** shift * math.factorial(2 * n)) for n in range(60)])
+    res = evaluate(s, z)
+    assert res.reason == "window" and res.terms_used < len(s.coeffs)
+    rest = sum(list(_exact_terms(s, lift(z)))[res.terms_used:], ExactScalar())
+    assert res.tail_bound > 0
+    assert rest.abs_squared() <= Fraction(res.tail_bound) ** 2
+
+
 # ---------------------------------------------------------------------------
 # the rounding radius and the point, taken in integers
 # ---------------------------------------------------------------------------

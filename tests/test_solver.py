@@ -454,14 +454,15 @@ def test_continuation_and_verify_cast_each_coefficient_once_per_call(monkeypatch
 
 def test_formal_solve_estimates_chi_once(monkeypatch):
     import fallfact.analysis as analysis_mod
-    from fallfact.analysis import chi_estimate, classify
+    from fallfact.analysis import _chi_from_logs, chi_estimate, classify
     calls = []
 
-    def counting(coeffs, *args, **kwargs):
-        calls.append(len(coeffs))
-        return chi_estimate(coeffs, *args, **kwargs)
+    def counting(logs):
+        calls.append(len(logs))
+        return _chi_from_logs(logs)
 
-    monkeypatch.setattr(analysis_mod, "chi_estimate", counting)
+    # classify and chi_estimate both estimate chi through _chi_from_logs
+    monkeypatch.setattr(analysis_mod, "_chi_from_logs", counting)
     for eq, free in ((ORDER_HALF, {0: 1, 1: Fraction(-1, 2)}), (FACTORIAL, {0: 1}),
                      (GEOMETRIC, {0: 1}), (GEOMETRIC, {0: 0})):
         del calls[:]
