@@ -580,6 +580,13 @@ _UP = 1 + 2.0 ** -48
 _SQRT2_UP = 1.41421356237311  # >= sqrt(2) _UP
 
 
+def _rho(s: float, u: float, z_abs: float) -> float:
+    """s |z| + u rounded up: _UP covers relative roundings, and the least subnormal
+    the absolute loss of a product that is not exactly 0 below the normal range."""
+    p = s * z_abs
+    return (p + (math.ulp(0.0) if p < 2.0 ** -1022 and s and z_abs else 0.0) + u) * _UP
+
+
 def _ratio_maxima(coeffs: Sequence) -> tuple[list, list]:
     """Suffix maxima of the coefficient ratios, as floats rounded up.
 
@@ -590,8 +597,7 @@ def _ratio_maxima(coeffs: Sequence) -> tuple[list, list]:
     float once (_bracket).
     """
     brackets = [_abs_bracket(a) for a in coeffs]
-    s = [0.0] * len(brackets)
-    u = [0.0] * len(brackets)
+    s, u = [0.0] * len(brackets), [0.0] * len(brackets)
     s_max = u_max = 0.0
     for m in range(len(brackets) - 2, -1, -1):
         cur, nxt = brackets[m], brackets[m + 1]
@@ -605,10 +611,8 @@ def _ratio_maxima(coeffs: Sequence) -> tuple[list, list]:
             gap = nxt[2] - cur[2]
             r = math.inf if gap > 900 else \
                 math.ldexp(nxt[1] / cur[0] * _UP, gap if gap > -900 else -900)
-        if r > s_max:
-            s_max = r
-        if m * r * _UP > u_max:  # 0 inf is NaN, which compares false
-            u_max = m * r * _UP
+        s_max = max(s_max, r)
+        u_max = max(u_max, m * r * _UP)  # 0 inf is NaN, which max passes over
         s[m], u[m] = s_max, u_max
     return s, u
 
@@ -618,13 +622,9 @@ def _abs_bracket(a: ExactScalar):
 
     A Gaussian a lies between its larger part and sqrt(2) times it.
     """
-    re, im = a.re, a.im
-    re_num, im_num = re.numerator, im.numerator
-    if not im_num:
-        return _bracket(re_num, re.denominator) if re_num else None
-    if not re_num:
-        return _bracket(im_num, im.denominator)
-    parts = _bracket(re_num, re.denominator), _bracket(im_num, im.denominator)
+    parts = [_bracket(p.numerator, p.denominator) for p in (a.re, a.im) if p]
+    if len(parts) < 2:
+        return parts[0] if parts else None
     e = max(parts[0][2], parts[1][2])
     # a part ldexp flushes towards 0 lies below 2^-900 times the other, so
     # neither maximum changes
@@ -661,7 +661,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
         term after n adds up to at most |t_n| rho/(1 - rho).  When that is
         at most one unit 2^exp of the partial sum, the sum stops and the
         unit joins the rounding bound, which then covers all N + 1 stored
-        terms.  Every float in the test is rounded up (_UP), and
+        terms.  Every float in the test is rounded up (_UP, _rho), and
         |t_n| < 2^(top + 1/2) (1 + 2^(2-prec)) (1 + rho_ff) for the
         carried term's top bit top, so 2^(top + 1) bounds the exact term
         while the rescales k stay below 2^(width - 10).  O(1) float work
@@ -763,7 +763,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
             if rounded:
                 rounded_total += bound
         if e_sq and n < limit and es is not None:
-            rho = (ratio_max[n] * z_abs + ratio_m[n]) * _UP
+            rho = _rho(ratio_max[n], ratio_m[n], z_abs)
             if rho < 1:
                 q = rho / (1 - rho) * _UP
                 # the remainder is at most 2^(top + 1) q: 0 after a zero term
@@ -796,7 +796,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     terms_used = n + 1 if reason else max(limit + 1, 0)
     remainder = 0.0 if terms_used == len(series.coeffs) else math.inf
     if remainder and e_sq and terms_used:
-        rho = (ratio_max[n] * z_abs + ratio_m[n]) * _UP
+        rho = _rho(ratio_max[n], ratio_m[n], z_abs)
         if rho < 1:
             q_num, q_den = (rho / (1 - rho) * _UP).as_integer_ratio()
             remainder = _float_up(q_num, top + 1, q_den) if b else 0.0

@@ -694,6 +694,19 @@ def test_tail_bound_below_the_float_range_is_not_zero(shift, z):
     assert rest.abs_squared() <= Fraction(res.tail_bound) ** 2
 
 
+@pytest.mark.parametrize("z", [5e-324, 1e-320, complex(5e-324, 5e-324)])
+def test_tail_bound_of_a_subnormal_ratio_product_is_not_zero(z):
+    # S[0] |z| = 2^-10 |z| rounds to 0.0 or loses bits below the normal
+    # range; the remainder a_1 z stays positive and must be covered
+    from fallfact.exact import lift
+    s = exact_series([1, Fraction(1, 1024)])
+    res = evaluate(s, z)
+    assert res.reason == "negligible" and res.terms_used == 1
+    rest = s._exact_coeffs[1] * lift(z)
+    assert res.tail_bound > 0
+    assert rest.abs_squared() <= Fraction(res.tail_bound) ** 2
+
+
 # ---------------------------------------------------------------------------
 # the rounding radius and the point, taken in integers
 # ---------------------------------------------------------------------------
