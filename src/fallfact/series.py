@@ -580,13 +580,6 @@ _UP = 1 + 2.0 ** -48
 _SQRT2_UP = 1.41421356237311  # >= sqrt(2) _UP
 
 
-def _rho(s: float, u: float, z_abs: float) -> float:
-    """s |z| + u rounded up: _UP covers relative roundings, and the least subnormal
-    the absolute loss of a product that is not exactly 0 below the normal range."""
-    p = s * z_abs
-    return (p + (math.ulp(0.0) if p < 2.0 ** -1022 and s and z_abs else 0.0) + u) * _UP
-
-
 def _ratio_maxima(coeffs: Sequence) -> tuple[list, list]:
     """Suffix maxima of the coefficient ratios, as floats rounded up.
 
@@ -661,7 +654,7 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
         term after n adds up to at most |t_n| rho/(1 - rho).  When that is
         at most one unit 2^exp of the partial sum, the sum stops and the
         unit joins the rounding bound, which then covers all N + 1 stored
-        terms.  Every float in the test is rounded up (_UP, _rho), and
+        terms.  Every float in the test is rounded up (_UP), and
         |t_n| < 2^(top + 1/2) (1 + 2^(2-prec)) (1 + rho_ff) for the
         carried term's top bit top, so 2^(top + 1) bounds the exact term
         while the rescales k stay below 2^(width - 10).  O(1) float work
@@ -762,9 +755,14 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
             total += bound
             if rounded:
                 rounded_total += bound
-        if e_sq and n < limit and es is not None:
-            rho = _rho(ratio_max[n], ratio_m[n], z_abs)
-            if rho < 1:
+        if e_sq:
+            # a product below the normal range may lose half the least
+            # subnormal, which _UP does not cover
+            p = ratio_max[n] * z_abs
+            if p < 2.0 ** -1022 and ratio_max[n] and z_abs:
+                p += math.ulp(0.0)
+            rho = (p + ratio_m[n]) * _UP
+            if rho < 1 and n < limit and es is not None:
                 q = rho / (1 - rho) * _UP
                 # the remainder is at most 2^(top + 1) q: 0 after a zero term
                 if not b or es - top - 1 > 1000 or q <= math.ldexp(1.0, es - top - 1):
@@ -795,11 +793,9 @@ def _fixed_point_sum(series: BinomialSeries, ctx: MPContext, point: tuple, limit
     units = -(-bound >> (d + prec)) + 2 * floors + (reason == "negligible")
     terms_used = n + 1 if reason else max(limit + 1, 0)
     remainder = 0.0 if terms_used == len(series.coeffs) else math.inf
-    if remainder and e_sq and terms_used:
-        rho = _rho(ratio_max[n], ratio_m[n], z_abs)
-        if rho < 1:
-            q_num, q_den = (rho / (1 - rho) * _UP).as_integer_ratio()
-            remainder = _float_up(q_num, top + 1, q_den) if b else 0.0
+    if remainder and e_sq and terms_used and rho < 1:  # rho at the last n summed
+        q_num, q_den = (rho / (1 - rho) * _UP).as_integer_ratio()
+        remainder = _float_up(q_num, top + 1, q_den) if b else 0.0
     return pr, pi, es or 0, units, terms_used, reason, remainder
 
 

@@ -679,30 +679,27 @@ def test_tail_bound_covers_the_stored_remainder(s, z, bits, eps, n_max):
         assert old[1] >= res.terms_used
 
 
-@pytest.mark.parametrize("shift", [1050, 1200])
-@pytest.mark.parametrize("z", [0.5, complex(3.25, 1)], ids=["0.5", "3.25+1i"])
-def test_tail_bound_below_the_float_range_is_not_zero(shift, z):
+def _tiny(shift):
+    return [Fraction(1, 2 ** shift * math.factorial(2 * n)) for n in range(60)]
+
+
+@pytest.mark.parametrize("coeffs, z, reason", [
     # a_n = 2^-shift/(2n)!: the window stops the sum with stored terms left
-    # whose sum lies below the least subnormal; tail_bound rounds it up
+    # whose sum lies below the least subnormal
+    *(pytest.param(_tiny(shift), z, "window", id=f"shift{shift}-{z_id}")
+      for shift in (1050, 1200) for z, z_id in ((0.5, "0.5"), (complex(3.25, 1), "3.25+1i"))),
+    # S[0] |z| = 2^-10 |z| rounds to 0.0 or loses bits below the normal range
+    *(pytest.param([1, Fraction(1, 1024)], z, "negligible", id=f"short-{z}")
+      for z in (5e-324, 1e-320, complex(5e-324, 5e-324))),
+])
+def test_tail_bound_below_the_float_range_is_not_zero(coeffs, z, reason):
+    # tail_bound rounds the positive sum of the stored terms left out up
     from fallfact.exact import lift
     from fallfact.series import _exact_terms
-    s = exact_series([Fraction(1, 2 ** shift * math.factorial(2 * n)) for n in range(60)])
+    s = exact_series(coeffs)
     res = evaluate(s, z)
-    assert res.reason == "window" and res.terms_used < len(s.coeffs)
+    assert res.reason == reason and res.terms_used < len(s.coeffs)
     rest = sum(list(_exact_terms(s, lift(z)))[res.terms_used:], ExactScalar())
-    assert res.tail_bound > 0
-    assert rest.abs_squared() <= Fraction(res.tail_bound) ** 2
-
-
-@pytest.mark.parametrize("z", [5e-324, 1e-320, complex(5e-324, 5e-324)])
-def test_tail_bound_of_a_subnormal_ratio_product_is_not_zero(z):
-    # S[0] |z| = 2^-10 |z| rounds to 0.0 or loses bits below the normal
-    # range; the remainder a_1 z stays positive and must be covered
-    from fallfact.exact import lift
-    s = exact_series([1, Fraction(1, 1024)])
-    res = evaluate(s, z)
-    assert res.reason == "negligible" and res.terms_used == 1
-    rest = s._exact_coeffs[1] * lift(z)
     assert res.tail_bound > 0
     assert rest.abs_squared() <= Fraction(res.tail_bound) ** 2
 
