@@ -18,28 +18,47 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from typing import IO, Iterator
+from importlib import import_module
+from typing import IO, TYPE_CHECKING, Iterator
 
-# chi_estimate is not called here; perfbench's tracer patches it on this module
-from .analysis import (MIN_GROWTH_COEFFS, _checked_radii, chi_estimate,  # noqa: F401
-                       classify, fit_order_type, modulus_profile)
 from .errors import (InputFormatError, MathematicalObstruction,
                      NumericalFailure)
 from .exact import as_exact
-from .interp import newton_series, reconstruct_check
 from .polynomial import format_poly
-from .riccati import riccati_coefficient, riccati_instance, verify_riccati
 from .serialization import (decode_sample, dump_json, equation_from_json,
                             equation_to_json, load_json, polygon_to_json,
                             polynomial_to_json, recurrence_to_json,
                             series_from_json, series_to_json, write_eval_csv,
                             write_profile_csv, write_residual_csv)
-from .series import (DEFAULT_EPS, DEFAULT_N_MAX, DEFAULT_PRECISION_BITS,
-                     BinomialSeries, binomial_from_taylor, evaluate,
-                     taylor_from_binomial)
-from .solver import (LinearDifferenceEquation, candidate_orders,
-                     continuation_eval, derive_recurrence, formal_solve,
-                     newton_polygon, to_delta_form, to_shift_form)
+
+if TYPE_CHECKING:
+    from .series import BinomialSeries
+    from .solver import LinearDifferenceEquation
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for fallfact.<module>.<name> that imports the module when called."""
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+    return call
+
+
+# Each command imports the modules it runs, and no others.  The names below
+# are the exception: perfbench's tracer patches them on this module, so they
+# stay module globals, bound to stand-ins that import their module when called.
+# chi_estimate is not called here at all; it is kept only for that patch table.
+# All of them go once the package counts its own calls for the tracer.
+chi_estimate = _deferred("analysis", "chi_estimate")
+classify = _deferred("analysis", "classify")
+fit_order_type = _deferred("analysis", "fit_order_type")
+modulus_profile = _deferred("analysis", "modulus_profile")
+newton_series = _deferred("interp", "newton_series")
+reconstruct_check = _deferred("interp", "reconstruct_check")
+verify_riccati = _deferred("riccati", "verify_riccati")
+evaluate = _deferred("series", "evaluate")
+taylor_from_binomial = _deferred("series", "taylor_from_binomial")
+continuation_eval = _deferred("solver", "continuation_eval")
+derive_recurrence = _deferred("solver", "derive_recurrence")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,6 +171,14 @@ def _check_point_total(total: int, flags: str) -> None:
 
 
 def _check_numeric_flags(args) -> None:
+    """Give the numeric flags left out the series module's defaults, then check all."""
+    from .series import DEFAULT_EPS, DEFAULT_N_MAX, DEFAULT_PRECISION_BITS
+    if args.precision_bits is None:
+        args.precision_bits = DEFAULT_PRECISION_BITS
+    if args.eps is None:
+        args.eps = DEFAULT_EPS
+    if args.n_max is None:
+        args.n_max = DEFAULT_N_MAX
     if args.precision_bits < 53:
         raise InputFormatError("precision_bits must be >= 53")
     if not 0 < args.eps < math.inf:  # NaN too
@@ -161,6 +188,7 @@ def _check_numeric_flags(args) -> None:
 
 
 def _print_growth(series: BinomialSeries) -> None:
+    from .analysis import MIN_GROWTH_COEFFS
     cls = classify(series.coeffs)
     if math.isnan(cls.chi):
         print(f"growth: not estimated (needs >= {MIN_GROWTH_COEFFS} coefficients)")
@@ -179,6 +207,7 @@ def _print_growth(series: BinomialSeries) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
+    from .solver import formal_solve
     eq = _load_equation(args.equation)
     free = _parse_free(args.free or [])
     rec = derive_recurrence(eq)
@@ -220,6 +249,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import _checked_radii
     series = _load_series(args.series)
     # both refused before anything is printed
     radii = _checked_radii(args.radii)
@@ -248,6 +278,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_polygon(args) -> int:
+    from .solver import candidate_orders, newton_polygon
     eq = _load_equation(args.equation)
     pg = newton_polygon(eq)
     print("points " + " ".join(f"({x},{y})" for x, y in pg.points))
@@ -262,6 +293,7 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_riccati_coefficient(args) -> int:
+    from .riccati import riccati_coefficient
     coeff = riccati_coefficient(args.a, args.b, args.c)
     print(f"A(z) = {coeff}")
     if args.out:
@@ -272,6 +304,8 @@ def cmd_riccati_coefficient(args) -> int:
 
 
 def cmd_riccati_verify(args) -> int:
+    from .riccati import riccati_instance
+    from .solver import formal_solve
     inst = riccati_instance(args.a, args.b, args.c)
     free = _parse_free(args.free or [])
     series, _ = formal_solve(inst.equation, free, args.n_terms)
@@ -327,6 +361,7 @@ def cmd_convert(args) -> int:
     if args.equation:
         if args.to not in ("delta", "shift"):
             raise InputFormatError("--equation converts with --to delta|shift")
+        from .solver import to_delta_form, to_shift_form
         eq = _load_equation(args.equation)
         out = to_delta_form(eq) if args.to == "delta" else to_shift_form(eq)
         with _out_stream(args.out) as fh:
@@ -335,6 +370,7 @@ def cmd_convert(args) -> int:
     if args.series:
         if args.to != "taylor":
             raise InputFormatError("--series converts with --to taylor")
+        from .analysis import MIN_GROWTH_COEFFS
         series = _load_series(args.series)
         m_max = args.m_max if args.m_max is not None else series.truncation_order
         tc = taylor_from_binomial(series, m_max, args.k_cut)
@@ -349,6 +385,7 @@ def cmd_convert(args) -> int:
         return 0
     if args.to != "binomial":
         raise InputFormatError("--taylor converts with --to binomial")
+    from .series import binomial_from_taylor
     payload = _load_payload(args.taylor)
     raw = payload.get("coeffs") if isinstance(payload, dict) else payload
     if not isinstance(raw, list):
@@ -404,12 +441,10 @@ def cmd_seed_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS,
-                   help="working precision (>= 53)")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                   help="stopping tolerance (> 0)")
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
-                   help="evaluation term cap (>= 16)")
+    # defaults are filled in by _check_numeric_flags, which loads series
+    p.add_argument("--precision-bits", type=int, help="working precision (>= 53)")
+    p.add_argument("--eps", type=float, help="stopping tolerance (> 0)")
+    p.add_argument("--n-max", type=int, help="evaluation term cap (>= 16)")
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:

@@ -17,15 +17,18 @@ import cmath
 import csv
 import json
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputFormatError
 from .exact import as_exact
 from .polynomial import Polynomial
-from .series import APPROX, BinomialSeries, EXACT, EvaluationResult
-from .solver import (CoefficientRecurrence, LinearDifferenceEquation,
-                     NewtonPolygon, candidate_orders)
-from .analysis import ModulusProfile
+
+# A function that needs series or solver imports it when it runs, so that a
+# command loads them only when it reads or writes their data.
+if TYPE_CHECKING:
+    from .analysis import ModulusProfile
+    from .series import BinomialSeries, EvaluationResult
+    from .solver import CoefficientRecurrence, LinearDifferenceEquation, NewtonPolygon
 
 FORMAT_VERSION = 1
 
@@ -67,6 +70,7 @@ def polynomial_from_json(data: list[str]) -> Polynomial:
 
 
 def series_to_json(series: BinomialSeries) -> dict:
+    from .series import APPROX, EXACT
     if series.regime == EXACT:
         return {"format_version": FORMAT_VERSION, "regime": EXACT,
                 "origin": series.origin,
@@ -80,6 +84,7 @@ def series_to_json(series: BinomialSeries) -> dict:
 
 
 def series_from_json(data: dict) -> BinomialSeries:
+    from .series import APPROX, BinomialSeries, EXACT
     try:
         regime = data["regime"]
         coeffs = _typed(data["coeffs"], list, "series coeffs")
@@ -102,6 +107,7 @@ def equation_to_json(eq: LinearDifferenceEquation) -> dict:
 
 
 def equation_from_json(data: dict) -> LinearDifferenceEquation:
+    from .solver import LinearDifferenceEquation
     try:
         form = data["form"]
         coeffs = tuple(polynomial_from_json(p)
@@ -120,6 +126,7 @@ def recurrence_to_json(rec: CoefficientRecurrence) -> dict:
 
 
 def recurrence_from_json(data: dict) -> CoefficientRecurrence:
+    from .solver import CoefficientRecurrence
     try:
         q = tuple(polynomial_from_json(p) for p in _typed(data["q"], list, "recurrence q"))
         n_start = _typed(data["n_start"], int, "n_start")
@@ -132,6 +139,7 @@ def recurrence_from_json(data: dict) -> CoefficientRecurrence:
 
 
 def polygon_to_json(polygon: NewtonPolygon) -> dict:
+    from .solver import candidate_orders
     return {"format_version": FORMAT_VERSION,
             "points": [list(p) for p in polygon.points],
             "hull": [list(p) for p in polygon.hull],
@@ -140,6 +148,7 @@ def polygon_to_json(polygon: NewtonPolygon) -> dict:
 
 
 def polygon_from_json(data: dict) -> NewtonPolygon:
+    from .solver import NewtonPolygon
     try:
         pts = tuple((int(x), int(y)) for x, y in data["points"])
         hull = tuple((int(x), int(y)) for x, y in data["hull"])

@@ -5,8 +5,14 @@ shows as a one-line diff here; list each such change in CHANGES.md.
 """
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fallfact
 
@@ -94,6 +100,49 @@ PUBLIC = (
 
 def test_public_names_are_pinned():
     assert tuple(sorted(fallfact.__all__)) == PUBLIC
+
+
+def _fresh_python(script: str) -> str:
+    src = str(Path(fallfact.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_every_name_is_its_home_modules_object():
+    for name in fallfact.__all__:
+        home = fallfact._HOME.get(name)
+        if home is None:  # a submodule
+            assert getattr(fallfact, name) is importlib.import_module(f"fallfact.{name}")
+            continue
+        value = getattr(fallfact, name)
+        assert value is getattr(importlib.import_module(f"fallfact.{home}"), name), name
+        # a class or function is listed under the module that defines it
+        assert getattr(value, "__module__", f"fallfact.{home}") == f"fallfact.{home}", name
+    assert set(fallfact.__all__) <= set(dir(fallfact))
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        fallfact.frobnicate
+    assert not hasattr(fallfact, "cli_main")
+
+
+def test_names_resolve_in_a_fresh_interpreter():
+    # submodules resolve before anything imports them: basis first, as series imports it
+    assert _fresh_python(
+        "import sys, fallfact\n"
+        "assert 'fallfact.basis' not in sys.modules\n"
+        "print(fallfact.basis.StirlingTable.__name__)\n"
+        "assert 'fallfact.series' not in sys.modules\n"
+        "print(fallfact.series.default_table.__name__)\n") == "StirlingTable\ndefault_table"
+    assert _fresh_python(
+        "from fallfact import *\n"
+        "import fallfact\n"
+        "print(*[n for n in fallfact.__all__ if n not in globals()])\n") == ""
 
 
 def test_every_private_module_name_is_used():

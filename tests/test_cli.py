@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -773,20 +774,20 @@ def test_argparse_errors_exit_3(capsys):
 
 # ---------------------------------------------------------------------------
 # start-up: mpmath loads on first numeric use, statistics on the fit only,
-# and no command loads dataclasses or inspect
+# no command loads dataclasses or inspect, and each command compiles only
+# the fallfact modules it runs
 # ---------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 WATCHED = ("mpmath", "dataclasses", "inspect", "statistics")
 
-# runs `python -m fallfact.cli ARGS...` and reports on stderr, at exit,
-# which of the WATCHED modules were ever imported
-_CLI_REPORTING_MODULES = (
-    "import atexit, runpy, sys\n"
-    f"atexit.register(lambda: print('loaded:', *[m for m in {WATCHED!r} if m in sys.modules],"
-    " file=sys.stderr))\n"
-    "runpy.run_module('fallfact.cli', run_name='__main__', alter_sys=True)\n")
+# prefixed to a -c script: reports on stderr, at exit, every module loaded
+_REPORT_MODULES = ("import atexit, sys\n"
+                   "atexit.register(lambda: print('loaded:', *sys.modules, file=sys.stderr))\n")
+
+# the -c script that runs `python -m fallfact.cli ARGS...`
+_RUN_CLI = "import runpy\nrunpy.run_module('fallfact.cli', run_name='__main__', alter_sys=True)\n"
 
 
 def _fresh_python(cwd, *args) -> subprocess.CompletedProcess:
@@ -796,19 +797,33 @@ def _fresh_python(cwd, *args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def _cli_loads(cwd, *argv) -> set[str]:
-    proc = _fresh_python(cwd, "-c", _CLI_REPORTING_MODULES, *argv)
+def _reported(cwd, script, *argv) -> set[str]:
+    proc = _fresh_python(cwd, "-c", _REPORT_MODULES + script, *argv)
     assert proc.returncode == 0, proc.stderr
     report = proc.stderr.strip().splitlines()[-1].split()
     assert report[:1] == ["loaded:"], proc.stderr
     return set(report[1:])
 
 
+@functools.cache
+def _host_modules() -> frozenset[str]:
+    """What a bare interpreter has loaded under the same environment: a
+    start-up hook of the host (a .pth file, sitecustomize) may load inspect,
+    and that is no module's doing."""
+    return frozenset(_reported(SRC, ""))
+
+
+def _loaded(cwd, script, *argv) -> set[str]:
+    """The modules `python -c script ARGS...` loads beyond the host's start-up."""
+    return _reported(cwd, script, *argv) - _host_modules()
+
+
+def _cli_loads(cwd, *argv) -> set[str]:
+    return _loaded(cwd, _RUN_CLI, *argv) & set(WATCHED)
+
+
 def test_import_and_exact_commands_leave_mpmath_unloaded(tmp_path):
-    proc = _fresh_python(tmp_path, "-c", "import sys, fallfact\n"
-                         f"print(*[m for m in {WATCHED!r} if m in sys.modules])")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    assert _loaded(tmp_path, "import fallfact") & set(WATCHED) == set()
     assert _cli_loads(tmp_path, "seed-examples", "--dir", "eqs") == set()
     assert _cli_loads(tmp_path, "solve", "--equation", "eqs/order-half.json",
                       "--free", "0=1", "--free", "1=-1/2", "--n-terms", "40",
@@ -819,3 +834,22 @@ def test_import_and_exact_commands_leave_mpmath_unloaded(tmp_path):
     # the order/type fit is the one user of statistics
     assert _cli_loads(tmp_path, "analyze", "--series", "sol.json", "--fit",
                       "--radii", "4", "8", "16", "--samples", "8") == {"mpmath", "statistics"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, capsys):
+    def package(script, *argv):
+        return {m.removeprefix("fallfact.") for m in _loaded(tmp_path, script, *argv)
+                if m.startswith("fallfact.")}
+
+    eqs, sol = tmp_path / "eqs", tmp_path / "sol.json"
+    assert main(["seed-examples", "--dir", str(eqs)]) == 0
+    assert main(["solve", "--equation", str(eqs / "order-half.json"), "--free", "0=1",
+                 "--free", "1=-1/2", "--n-terms", "40", "--out", str(sol)]) == 0
+    capsys.readouterr()
+    # every name resolves on first access, not at import
+    assert package("import fallfact") == set()
+    seed = package(_RUN_CLI, "seed-examples", "--dir", "more")
+    assert seed.isdisjoint({"series", "solver", "analysis", "basis", "riccati", "interp"}), seed
+    evaluated = package(_RUN_CLI, "eval", "--series", str(sol), "--at", "2.25")
+    assert "series" in evaluated
+    assert evaluated.isdisjoint({"solver", "riccati", "interp"}), evaluated
