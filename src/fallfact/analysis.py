@@ -180,8 +180,7 @@ def classify(coeffs: Sequence) -> Classification:
         return Classification(ENTIRE, est.value, False, est.window)
 
     log_best, best_idx = _exact_peak_of_an_nfact(lifted, logs)
-    if log_best is not None and best_idx < math.floor(0.75 * len(coeffs)) \
-            and log_best < 1400.0:
+    if best_idx < math.floor(0.75 * len(coeffs)) and log_best < 1400.0:
         return Classification(RIGHT_HALF_PLANE, est.value, est.undefined, est.window,
                               math.exp(0.5 * log_best), best_idx)
     return Classification(UNKNOWN, est.value, est.undefined, est.window)
@@ -194,7 +193,7 @@ _KEY_TOLERANCE = 1e-12
 
 
 def _exact_peak_of_an_nfact(lifted: Sequence[ExactScalar],
-                            logs: Sequence[float | None]) -> tuple[float | None, int | None]:
+                            logs: Sequence[float | None]) -> tuple[float, int]:
     """First argmax of |a_n| n! by exact cross-multiplied comparison, over
     the coefficients' exact images and their log_abs values.
 
@@ -213,8 +212,6 @@ def _exact_peak_of_an_nfact(lifted: Sequence[ExactScalar],
         most_bits = max(most_bits, fact.bit_length() + sum(
             v.bit_length() for v in (a.re.numerator, a.re.denominator,
                                      a.im.numerator, a.im.denominator)))
-    if all(key is None for key in keys):
-        return None, None
     cutoff = max(key for key in keys if key is not None) \
         - _KEY_TOLERANCE * (1 + most_bits)
     best_num = best_den = best_idx = None

@@ -391,8 +391,7 @@ def cmd_convert(args) -> int:
     if not isinstance(raw, list):
         raise InputFormatError("Taylor coeffs must be a JSON array")
     coeffs = [decode_sample(v) for v in raw]
-    series = binomial_from_taylor(coeffs, args.n_terms, args.k_cut,
-                                  origin="taylor-conversion")
+    series = binomial_from_taylor(coeffs, args.n_terms, args.k_cut)
     with _out_stream(args.out) as fh:
         dump_json(series_to_json(series), fh)
     return 0

@@ -45,7 +45,7 @@ def _leading_differences(row: list[int]) -> list[int]:
     return leading
 
 
-def newton_series(samples: Sequence, origin: str = "interpolation") -> BinomialSeries:
+def newton_series(samples: Sequence) -> BinomialSeries:
     """Series with a_n = (delta^n f)(0) / n! from samples f(0..N).
 
     Exact samples give an exact-regime series; float or complex samples give
@@ -69,7 +69,7 @@ def newton_series(samples: Sequence, origin: str = "interpolation") -> BinomialS
         except OverflowError:
             raise InputFormatError(f"Newton coefficient a{n} is beyond the float "
                                    "range; give exact samples") from None
-    return BinomialSeries(tuple(coeffs), EXACT if exact else APPROX, origin)
+    return BinomialSeries(coeffs, EXACT if exact else APPROX)
 
 
 class InterpolationReport(NamedTuple):

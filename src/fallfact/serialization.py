@@ -6,9 +6,10 @@ polynomial coefficient arrays.  Approx series store their binary64
 coefficients as [re, im] float pairs and read them back as Python complex
 values, bit for bit; computations lift them exactly.  decode_sample reads
 those pairs, and the samples and Taylor coefficients the CLI takes.  A
-series file carries no precision: evaluations take theirs from the caller,
-and the "precision_bits" key of older files is ignored.  CSV writers cover
-evaluation grids, modulus profiles, and verification residual tables.
+series file holds its regime and coefficients only: evaluations take their
+precision from the caller, and the "precision_bits" and "origin" keys of
+older files are ignored.  CSV writers cover evaluation grids, modulus
+profiles, and verification residual tables.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import cmath
 import csv
 import json
-from fractions import Fraction
 from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputFormatError
@@ -73,14 +73,12 @@ def series_to_json(series: BinomialSeries) -> dict:
     from .series import APPROX, EXACT
     if series.regime == EXACT:
         return {"format_version": FORMAT_VERSION, "regime": EXACT,
-                "origin": series.origin,
                 "coeffs": [str(c) for c in series.coeffs]}
     pairs = []
     for c in series.coeffs:
         cc = complex(c)
         pairs.append([cc.real, cc.imag])
-    return {"format_version": FORMAT_VERSION, "regime": APPROX,
-            "origin": series.origin, "coeffs": pairs}
+    return {"format_version": FORMAT_VERSION, "regime": APPROX, "coeffs": pairs}
 
 
 def series_from_json(data: dict) -> BinomialSeries:
@@ -88,12 +86,11 @@ def series_from_json(data: dict) -> BinomialSeries:
     try:
         regime = data["regime"]
         coeffs = _typed(data["coeffs"], list, "series coeffs")
-        origin = data.get("origin", "")
         if regime == EXACT:
-            return BinomialSeries(tuple(as_exact(c) for c in coeffs), EXACT, origin)
+            return BinomialSeries(coeffs, EXACT)
         if regime == APPROX:
             pairs = (_typed(c, list, "approx coefficient") for c in coeffs)
-            return BinomialSeries(tuple(map(decode_sample, pairs)), APPROX, origin)
+            return BinomialSeries(map(decode_sample, pairs), APPROX)
     except InputFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -145,17 +142,6 @@ def polygon_to_json(polygon: NewtonPolygon) -> dict:
             "hull": [list(p) for p in polygon.hull],
             "slopes": [str(s) for s in polygon.slopes],
             "candidates": [str(s) for s in candidate_orders(polygon)]}
-
-
-def polygon_from_json(data: dict) -> NewtonPolygon:
-    from .solver import NewtonPolygon
-    try:
-        pts = tuple((int(x), int(y)) for x, y in data["points"])
-        hull = tuple((int(x), int(y)) for x, y in data["hull"])
-        slopes = tuple(Fraction(s) for s in data["slopes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad polygon payload: {exc}") from exc
-    return NewtonPolygon(pts, hull, slopes)
 
 
 def dump_json(obj: dict, fh: IO[str]) -> None:

@@ -103,17 +103,16 @@ def _context(precision_bits: int) -> MPContext:
 
 
 class BinomialSeries(_Value):
-    """Coefficients a0..aN of sum a_n z^(n_), plus regime and provenance."""
+    """Coefficients a0..aN of sum a_n z^(n_), and how they are stored."""
 
-    _fields = ("coeffs", "regime", "origin")
+    _fields = ("coeffs", "regime")
 
-    def __init__(self, coeffs: Iterable = (), regime: str = EXACT, origin: str = "") -> None:
+    def __init__(self, coeffs: Iterable = (), regime: str = EXACT) -> None:
         if regime not in (EXACT, APPROX):
             raise ValueError(f"unknown regime {regime!r}")
         object.__setattr__(self, "coeffs", tuple(as_exact(c) for c in coeffs)
                            if regime == EXACT else tuple(coeffs))
         object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "origin", origin)
         # values derived from the coefficients alone, by key: "exact", cast
         # prefixes by precision, "numerators", "ratios", "classify"; outside
         # ==, hash and repr, and a copy starts without them
@@ -133,10 +132,6 @@ class BinomialSeries(_Value):
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self._exact_coeffs)
-
-    def with_coeffs(self, coeffs: Iterable) -> "BinomialSeries":
-        """An exact series of these coefficients, with this one's origin."""
-        return BinomialSeries(tuple(coeffs), EXACT, self.origin)
 
     def _memoized(self, key, build: Callable):
         """build(), kept under key: it must depend on the coefficients only."""
@@ -178,12 +173,12 @@ def _gaussian(raw: tuple, max_exp: int | None = None) -> tuple:
     return re, im, low
 
 
-def exact_series(coeffs: Iterable, origin: str = "") -> BinomialSeries:
-    return BinomialSeries(tuple(coeffs), EXACT, origin)
+def exact_series(coeffs: Iterable) -> BinomialSeries:
+    return BinomialSeries(coeffs, EXACT)
 
 
-def approx_series(coeffs: Iterable, origin: str = "") -> BinomialSeries:
-    return BinomialSeries(tuple(coeffs), APPROX, origin)
+def approx_series(coeffs: Iterable) -> BinomialSeries:
+    return BinomialSeries(coeffs, APPROX)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,7 @@ class _SeqOperator:
         summed on integer numerators and reduced once."""
         nums, den = integer_numerators(series._exact_coeffs)
         out, r_den = self.apply_to_numerators(nums, width)
-        return series.with_coeffs(from_numerators(re, im, den * r_den) for re, im in out)
+        return exact_series(from_numerators(re, im, den * r_den) for re, im in out)
 
     def apply_to_numerators(self, nums: Sequence, width: int) -> tuple[list, int]:
         """Entries 0..width-1 on the Gaussian integers nums (a_k = 0 outside them)
@@ -329,8 +324,8 @@ def shift(series: BinomialSeries, m: int) -> BinomialSeries:
         acc = [(s_re + (m - j + 1) * n * a_re, s_im + (m - j + 1) * n * a_im)
                for n, ((s_re, s_im), (a_re, a_im)) in enumerate(zip(scaled, acc[1:]), 1)
                ] + scaled[-1:]
-    return series.with_coeffs(from_numerators(re, im, den * math.factorial(top))
-                              for re, im in acc)
+    return exact_series(from_numerators(re, im, den * math.factorial(top))
+                        for re, im in acc)
 
 
 def linear_combine(pairs: Sequence[tuple]) -> BinomialSeries:
@@ -347,14 +342,14 @@ def linear_combine(pairs: Sequence[tuple]) -> BinomialSeries:
             continue
         for n, v in enumerate(s._exact_coeffs):
             out[n] = out[n] + sc * v
-    return pairs[0][1].with_coeffs(out)
+    return exact_series(out)
 
 
 def mul_by_poly(series: BinomialSeries, p: Polynomial) -> BinomialSeries:
     """p(z) * Y, zero-extended to length N + deg p + 1: Horner's rule in z,
     acc = z acc + p_k A, on integer numerators in O(N deg p), reduced once."""
     if p.is_zero() or not series.coeffs:
-        return series.with_coeffs(())
+        return exact_series(())
     nums, den = integer_numerators(series._exact_coeffs)
     p_nums, p_den = integer_numerators(p.coeffs)
     z = _SeqOperator.z_multiplication()
@@ -364,7 +359,7 @@ def mul_by_poly(series: BinomialSeries, p: Polynomial) -> BinomialSeries:
             acc = z.apply_to_numerators(acc, len(acc) + 1)[0]
         acc[:len(nums)] = [(x_re + c_re * a_re - c_im * a_im, x_im + c_re * a_im + c_im * a_re)
                            for (x_re, x_im), (a_re, a_im) in zip(acc, nums)]
-    return series.with_coeffs(from_numerators(re, im, den * p_den) for re, im in acc)
+    return exact_series(from_numerators(re, im, den * p_den) for re, im in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +391,8 @@ class EvaluationResult(NamedTuple):
 
 
 def evaluate_exact(series: BinomialSeries, z) -> ExactScalar:
-    """Exact finite sum of the series' exact image at an exact point."""
-    zz = as_exact(z)
+    """Exact finite sum of the series' exact image at the point's (exact.lift)."""
+    zz = lift(z)
     if zz.is_integer() and zz.re >= 0:
         # z^(n_) is an integer here, and vanishes for every n > z: sum the
         # integer numerators over their common denominator, reduce once
@@ -854,7 +849,7 @@ def evaluate_accelerated(series: BinomialSeries, z, *,
       * otherwise L_k, reason "levin" when converged, else "unsettled".
     """
     ctx = _context(precision_bits)
-    zz = as_exact(z)
+    zz = lift(z)
 
     if zz.is_integer() and zz.re >= 0:
         stop = min(int(zz.re), len(series.coeffs) - 1)
@@ -945,7 +940,7 @@ def taylor_from_binomial(series: BinomialSeries, m_max: int,
 
 
 def binomial_from_taylor(taylor_coeffs: Sequence, n_max: int | None = None,
-                         k_cut: int | None = None, origin: str = "") -> BinomialSeries:
+                         k_cut: int | None = None) -> BinomialSeries:
     """a_n = sum_{k=n}^{k_cut} b_k * T2[k][n]: mirror of taylor_from_binomial.
 
     The sums run by Horner's rule in z on the falling-factorial side.  Float,
@@ -964,4 +959,4 @@ def binomial_from_taylor(taylor_coeffs: Sequence, n_max: int | None = None,
     elif n_max < 0:
         raise ValueError("n_max must be nonnegative")
     out = _change_basis([lift(b) for b in taylor_coeffs[:k_cut + 1]], n_max + 1, True)
-    return BinomialSeries(tuple(out), EXACT, origin)
+    return exact_series(out)

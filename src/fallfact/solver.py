@@ -293,12 +293,11 @@ def _reduced(window: list, den: int, scale: int) -> tuple[list, int]:
 
 def formal_solve(eq: LinearDifferenceEquation,
                  free_values: Mapping[int, object],
-                 n_target: int,
-                 origin: str = "solver") -> tuple[BinomialSeries, Classification]:
+                 n_target: int) -> tuple[BinomialSeries, Classification]:
     """derive -> solve -> wrap as an exact series, with classify's growth
     verdict, which stays memoized on the series for later callers."""
     rec = derive_recurrence(eq)
-    series = exact_series(solve_recurrence(rec, free_values, n_target), origin)
+    series = exact_series(solve_recurrence(rec, free_values, n_target))
     return series, series._memoized("classify", lambda: classify(series.coeffs))
 
 

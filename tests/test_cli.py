@@ -92,6 +92,7 @@ def test_solve_prints_recurrence_and_writes_series(tmp_path, capsys, geometric_e
     assert data["coeffs"][0] == "1"
     assert data["coeffs"][2] == "1/8"  # (1/2)^2 / 2!
     assert data["recurrence"]["n_start"] == 0
+    assert "origin" not in data
 
 
 def test_solve_shows_prefix_constraints(tmp_path, capsys, factorial_eq):
@@ -305,6 +306,7 @@ def test_interp_inline_values(tmp_path, capsys):
     data = read_json(out)
     assert data["regime"] == "exact"
     assert data["coeffs"] == ["1", "1", "1/2", "1/6", "1/24"]
+    assert "origin" not in data
 
 
 def test_interp_samples_file_mixed_types(tmp_path):
@@ -314,6 +316,7 @@ def test_interp_samples_file_mixed_types(tmp_path):
     data = read_json(out)
     assert data["regime"] == "approx"
     assert len(data["coeffs"]) == 3
+    assert "origin" not in data
 
 
 @pytest.mark.parametrize("samples, code", [
@@ -385,6 +388,7 @@ def test_convert_series_taylor_round_trip(tmp_path, capsys, geometric_eq):
     assert main(["convert", "--taylor", str(taylor), "--to", "binomial",
                  "--n-terms", "20", "--out", str(back)]) == 0
     assert read_json(back)["coeffs"] == read_json(tmp_path / "series.json")["coeffs"]
+    assert "origin" not in read_json(back)
     capsys.readouterr()
     # a negative cut once sliced from the end and exited 0
     for argv in (["--series", series, "--to", "taylor", "--m-max", "3", "--k-cut", "-18"],
@@ -436,7 +440,8 @@ def test_convert_flags_a_series_too_short_to_estimate_growth(tmp_path, capsys,
 
 
 def test_convert_writes_null_for_an_undefined_growth_estimate(tmp_path, capsys):
-    # every |a_n| = 2^n >= 1: chi is undefined (inf), which JSON cannot hold
+    # every |a_n| = 2^n >= 1: chi is undefined (inf), which JSON cannot hold;
+    # the "origin" key that older versions wrote is read and ignored
     series = write_json(tmp_path / "big.json", {"regime": "exact", "origin": "t",
                                                 "coeffs": [str(2 ** n) for n in range(20)]})
     taylor = tmp_path / "taylor.json"

@@ -176,7 +176,7 @@ def _fraction_lift(c) -> ExactScalar:
 
 
 def _lifted(s: BinomialSeries) -> BinomialSeries:
-    return BinomialSeries(tuple(map(_fraction_lift, s.coeffs)), "exact", s.origin)
+    return BinomialSeries(tuple(map(_fraction_lift, s.coeffs)), "exact")
 
 
 @PROPERTY
@@ -184,7 +184,7 @@ def _lifted(s: BinomialSeries) -> BinomialSeries:
        binary_scalars, st.integers(0, 4), st.lists(gaussian_scalars, max_size=3),
        st.one_of(gaussian_scalars, st.integers(0, 10).map(as_exact)))
 def test_approx_operations_equal_their_exact_lift(a, b, scalar, m, p, z):
-    s, t = approx_series(a, origin="samples"), approx_series(b)
+    s, t = approx_series(a), approx_series(b)
     ls, lt = _lifted(s), _lifted(t)
     poly = Polynomial(tuple(p))
     assert s.is_zero() == ls.is_zero()

@@ -12,8 +12,7 @@ from fallfact.exact import ExactScalar
 from fallfact.interp import newton_series
 from fallfact.polynomial import Polynomial, poly
 from fallfact.serialization import (EVAL_HEADER, dump_json, equation_from_json,
-                                    equation_to_json, load_json,
-                                    polygon_from_json, polygon_to_json,
+                                    equation_to_json, load_json, polygon_to_json,
                                     polynomial_from_json, polynomial_to_json,
                                     recurrence_from_json, recurrence_to_json,
                                     series_from_json, series_to_json,
@@ -44,12 +43,11 @@ def test_polynomial_round_trip():
 
 
 def test_exact_series_round_trip():
-    s = newton_series([2 ** k for k in range(20)], origin="samples")
+    s = newton_series([2 ** k for k in range(20)])
     data = series_to_json(s)
+    assert list(data) == ["format_version", "regime", "coeffs"]
     assert data["regime"] == "exact"
-    back = series_from_json(data)
-    assert back.coeffs == s.coeffs
-    assert back.origin == "samples"
+    assert series_from_json(data) == s
 
 
 def test_precision_below_53_bits_is_rejected_in_every_regime():
@@ -77,9 +75,8 @@ def test_gaussian_rational_coefficients_survive():
 def test_approx_series_round_trip():
     s = approx_series([complex(1.5, -0.25), complex(0, 1e-20)])
     data = series_to_json(s)
-    back = series_from_json(data)
-    assert back.regime == "approx"
-    assert back.coeffs == s.coeffs  # float pairs are lossless
+    assert list(data) == ["format_version", "regime", "coeffs"]
+    assert series_from_json(data) == s  # float pairs are lossless
 
 
 def test_equation_and_recurrence_round_trip():
@@ -94,14 +91,13 @@ def test_equation_and_recurrence_round_trip():
     assert recurrence_from_json(recurrence_to_json(rec2)) == rec2
 
 
-def test_polygon_round_trip_keeps_fraction_slopes():
+def test_polygon_json_writes_fraction_slopes():
     pg = newton_polygon(ORDER_HALF)
     data = polygon_to_json(pg)
+    assert data["points"] == [list(p) for p in pg.points]
+    assert data["hull"] == [list(p) for p in pg.hull]
     assert data["slopes"] == ["1/2"]
     assert data["candidates"] == ["1/2"]
-    back = polygon_from_json(data)
-    assert back == pg
-    assert isinstance(back.slopes[0], Fraction)
 
 
 def test_dump_and_load_json():
@@ -141,8 +137,6 @@ def test_bad_payloads_raise_input_format_error():
         equation_from_json({"form": DELTA_FORM})
     with pytest.raises(InputFormatError):
         recurrence_from_json({"q": [["1"]], "n_start": "soon"})
-    with pytest.raises(InputFormatError):
-        polygon_from_json({"points": [[0, 0]], "hull": "no", "slopes": []})
 
 
 @pytest.mark.parametrize("reader, payload", [

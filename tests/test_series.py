@@ -11,7 +11,8 @@ from fallfact.errors import EvaluationOverflowError
 from fallfact.exact import ExactScalar, as_exact
 from fallfact.polynomial import Polynomial, poly
 from fallfact.series import (BinomialSeries, _SeqOperator, approx_series,
-                             binomial_from_taylor, delta, evaluate, evaluate_exact,
+                             binomial_from_taylor, delta, evaluate, evaluate_accelerated,
+                             evaluate_exact,
                              exact_series, linear_combine, make_context, mul_by_poly,
                              mul_by_z, shift, taylor_from_binomial)
 
@@ -170,6 +171,20 @@ def test_integer_points_follow_one_rule_whatever_their_type():
     assert (near.reason, near.terms_used) == ("exhausted", 5)
     with pytest.raises(TypeError):
         evaluate(s, True)
+
+
+def test_exact_evaluators_read_float_points_as_evaluate_does():
+    # a float or complex point is the binary rational it holds (exact.lift)
+    s = exact_series([1, Fraction(-1, 3), Fraction(1, 7), 2, Fraction(5, 11)])
+    assert evaluate_exact(s, 2.0) == evaluate_exact(s, 2)
+    assert evaluate_exact(s, complex(0.5, -1.25)) == evaluate_exact(s, as_exact("1/2-5/4i"))
+    s60 = exact_series(Fraction(1, 2 ** n * math.factorial(n)) for n in range(60))
+    assert evaluate_accelerated(s60, 0.5) == evaluate_accelerated(s60, Fraction(1, 2))
+    for evaluator in (evaluate_exact, evaluate_accelerated):
+        with pytest.raises(ValueError):
+            evaluator(s, math.nan)
+        with pytest.raises(TypeError):
+            evaluator(s, True)
 
 
 def test_exhaustion_is_converged():
@@ -444,7 +459,7 @@ def test_evaluate_encloses_the_exact_sum():
                     res = evaluate(s, z, precision_bits=bits, **kw)
                     diff = lift(res.value) - sums(res.terms_used)
                     assert diff.abs_squared() <= Fraction(res.rounding_radius) ** 2, \
-                        (s.origin, bits, z, kw, res)
+                        (k, bits, z, kw, res)
                     inexact[k] = inexact[k] or not diff.is_zero()
                     margins = []
                     want = _reference_evaluate(s, z, precision_bits=bits, margins=margins,
@@ -454,14 +469,14 @@ def test_evaluate_encloses_the_exact_sum():
                         # certificate stops no later than the old loop
                         full = lift(res.value) - sums(len(s.coeffs))
                         assert full.abs_squared() <= Fraction(res.rounding_radius) ** 2, \
-                            (s.origin, bits, z, kw, res)
-                        assert want[1] >= res.terms_used, (s.origin, bits, z, kw)
+                            (k, bits, z, kw, res)
+                        assert want[1] >= res.terms_used, (k, bits, z, kw)
                         certified += 1
                     elif min(margins, default=1) < WINDOW_MARGIN:
                         near += 1
                     else:
                         got = (res.terms_used, res.converged, res.reason)
-                        assert got == want[1:], (s.origin, bits, z, kw)
+                        assert got == want[1:], (k, bits, z, kw)
                     compared += 1
     assert compared == 3 * 2 * len(points) * len(settings)
     assert near <= compared // 20

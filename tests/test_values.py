@@ -16,8 +16,9 @@ from fallfact.analysis import Classification, classify
 from fallfact.exact import ExactScalar
 from fallfact.polynomial import Polynomial, RationalFunction, poly
 from fallfact.riccati import riccati_coefficient, riccati_instance
-from fallfact.series import BinomialSeries, approx_series, evaluate, exact_series
-from fallfact.solver import LinearDifferenceEquation, newton_polygon
+from fallfact.interp import newton_series
+from fallfact.series import BinomialSeries, approx_series, delta, evaluate, exact_series
+from fallfact.solver import LinearDifferenceEquation, formal_solve, newton_polygon
 
 
 # one instance of each value type, next to its field values in order
@@ -25,8 +26,8 @@ VALUES = [
     (ExactScalar(Fraction(-1, 2), Fraction(3)), (Fraction(-1, 2), Fraction(3))),
     (poly(6, 4), ((ExactScalar(Fraction(6)), ExactScalar(Fraction(4))),)),
     (riccati_coefficient(4, 6, 3), (poly(23, 16), poly(9, 80, 64))),
-    (exact_series([1, Fraction(-1, 2)], "x"),
-     ((ExactScalar(Fraction(1)), ExactScalar(Fraction(-1, 2))), "exact", "x")),
+    (exact_series([1, Fraction(-1, 2)]),
+     ((ExactScalar(Fraction(1)), ExactScalar(Fraction(-1, 2))), "exact")),
     (LinearDifferenceEquation("delta", (poly(1), poly(3), poly(6, 4))),
      ("delta", (poly(1), poly(3), poly(6, 4)))),
 ]
@@ -43,7 +44,7 @@ def test_reprs_are_pinned():
         "RationalFunction(num=Polynomial(coeffs=(ExactScalar('23'), ExactScalar('16'))), "
         "den=Polynomial(coeffs=(ExactScalar('9'), ExactScalar('80'), ExactScalar('64'))))")
     assert repr(approx_series([1.5, 2j])) == \
-        "BinomialSeries(coeffs=(1.5, 2j), regime='approx', origin='')"
+        "BinomialSeries(coeffs=(1.5, 2j), regime='approx')"
     assert repr(LinearDifferenceEquation("shift", (poly(0, -1), poly(1)))) == (
         "LinearDifferenceEquation(form='shift', coeffs=(Polynomial(coeffs="
         "(ExactScalar('0'), ExactScalar('-1'))), Polynomial(coeffs=(ExactScalar('1'),))))")
@@ -64,8 +65,21 @@ def test_unequal_values_of_one_class():
     assert ExactScalar(Fraction(1)) != ExactScalar(Fraction(1), Fraction(1))
     assert ExactScalar(Fraction(1)) != 1  # no coercion in ==
     assert poly(1, 2) != poly(1, 3)
-    assert exact_series([1], "a") != exact_series([1], "b")
+    assert exact_series([1]) != exact_series([2])
+    assert exact_series([1]) != approx_series([1.0])  # the regime is a field
     assert len({poly(1, 2), poly(1, 2), poly(2)}) == 2
+
+
+def test_a_series_is_its_coefficients():
+    # how a series was made takes no part in ==: solved, interpolated and
+    # derived series equal the exact series of their coefficients
+    solved, _ = formal_solve(LinearDifferenceEquation("delta", (poly("-1/2"), poly(1))),
+                             {0: 1}, 12)
+    same = exact_series(solved.coeffs)
+    assert solved == same and hash(solved) == hash(same)
+    assert delta(solved) == delta(same)
+    interpolated = newton_series([1, 2, 4, 8])
+    assert interpolated == exact_series(interpolated.coeffs)
 
 
 @pytest.mark.parametrize("value, fields", VALUES, ids=IDS)
